@@ -176,7 +176,7 @@ def _run_average(ctx: Context, data: dict, opts: dict):
 
 def _run_obstruct(ctx: Context, data: dict, opts: dict):
     f = _element_of(ctx, data)
-    rep = expmod.averaging_obstruction(ctx, f, seed=opts["seed"])
+    rep = expmod.averaging_obstruction(ctx, f, seed=opts["seed"], guard=opts["guard"])
     verdict = "obstructed" if rep.get("exhaustive_none_reproduces", True) else "reproduced"
     return rep, verdict
 

@@ -1,9 +1,13 @@
 """Exact linear algebra over prime fields (numpy, residues) and over Q (Fraction).
 
 Matrices over F_p are numpy int64 arrays with entries in [0, p).  Matrices over
-Q are lists of lists of Fraction.  Everything here is plain Gaussian
-elimination; the only twist is the batched variant, which eliminates thousands
-of small systems in lockstep along a leading batch axis.
+Q are lists of lists (or 2-d object arrays) of Fraction.  The program reaches
+the solves and nullspaces through steinberg.Context, which picks the backend
+for its ring; the batched test serves the F_p normalizer prefilter.
+
+Everything here is plain Gaussian elimination; the only twist is the batched
+variant, which eliminates thousands of small systems in lockstep along a
+leading batch axis.
 """
 
 from fractions import Fraction
@@ -168,3 +172,19 @@ def solve_frac(a, b):
     for i, c in enumerate(pivots):
         x[c] = red[i][cols]
     return x
+
+
+def nullspace_frac(a):
+    """Basis of the right nullspace over Q, one vector per entry."""
+    cols = len(a[0]) if len(a) else 0
+    red, pivots = rref_frac(a)
+    basis = []
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -red[i][fc]
+        basis.append(v)
+    return basis

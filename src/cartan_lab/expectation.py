@@ -22,10 +22,8 @@ from dataclasses import dataclass
 
 from . import coeff as coeffmod
 from .errors import GuardExceeded, InputError, InternalCheckError
+from .normalizers import SCAN_GUARD
 from .steinberg import Context, El, decompose_bisections, is_bisection
-
-# family scans beyond this many candidate families refuse instead of running
-SCAN_GUARD = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -263,7 +261,7 @@ def averaging_obstruction(ctx: Context, f: El, n_random: int = 200,
     n_diag = len(r.elements()) ** len(units)
     total = sum(n_diag ** n for n in range(1, max_family_size + 1))
     if total > guard:
-        raise GuardExceeded(f"family scan would visit {total} families")
+        raise GuardExceeded("diagonal family scan", total, guard)
     diag = []
     for combo in itertools.product(r.elements(), repeat=len(units)):
         coeffs = {u: r.normalize(v) for u, v in zip(units, combo) if r.normalize(v) != r.zero}

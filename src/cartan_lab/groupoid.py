@@ -120,11 +120,6 @@ class Groupoid:
     def is_principal(self) -> bool:
         return len(self.iso_arrows()) == 0
 
-    def is_effective(self) -> bool:
-        # At finite discrete scale the interior of the isotropy is the isotropy
-        # itself, so effective and principal coincide.
-        return self.is_principal()
-
     def iso_sizes(self) -> dict:
         sizes = {u: 1 for u in self.units()}
         for a in self.iso_arrows():

@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import exactlin
 from .errors import GuardExceeded, InputError, InternalCheckError
-from .steinberg import (Basis, Context, El, algebra_closure, intersect_spans,
-                        is_bisection, span_closure)
+from .steinberg import (Basis, Context, El, algebra_closure, full_algebra_basis,
+                        intersect_spans, is_bisection, span_closure)
 from .normalizers import (SCAN_GUARD, NormalizerCert, enumerate_normalizers,
                           is_free_normalizer)
 
@@ -57,13 +56,6 @@ class InclusionReport:
             "verdict": self.verdict,
             "notes": list(self.notes),
         }
-
-
-def full_algebra_basis(ctx: Context) -> Basis:
-    b = Basis(ctx)
-    for d in ctx.basis_deltas():
-        b.extend(d)
-    return b
 
 
 def diagonal_basis(ctx: Context) -> Basis:
@@ -174,21 +166,12 @@ def classify(ctx: Context, c_basis: Basis | None = None,
 
         # faithful: Delta(n a) = 0 for every normalizer n forces a = 0;
         # linearity in n lets a basis of spn N(C,D) stand in for all of it
-        p = ctx.p
-        mat = np.zeros((nspan.dim * n_units, basis.dim), dtype=np.int64)
-        for i, n in enumerate(nspan.rows):
-            for j, c in enumerate(basis.rows):
-                prod = n * c
-                for u in g.units():
-                    mat[i * n_units + u, j] = prod.value(u)
-        kern = exactlin.nullspace_mod_p(mat, p)
+        mat = np.stack([np.concatenate([ctx.vec(n * c)[:n_units] for n in nspan.rows])
+                        for c in basis.rows], axis=1)
+        kern = ctx.nullspace(mat)
         flags["delta_faithful"] = len(kern) == 0
         if not flags["delta_faithful"]:
-            bad = ctx.zero()
-            for j, c in enumerate(basis.rows):
-                if kern[0][j]:
-                    bad = bad + c.scale(int(kern[0][j]))
-            wits["delta_faithful"] = bad
+            wits["delta_faithful"] = ctx.combination(kern[0], basis.rows)
 
         flags["delta_idempotent_implemented"] = True
         for cert in nonzero:
@@ -284,7 +267,6 @@ class LatticeReport:
     ctx: Context
     wides: list
     algebras: list
-    generators: list
     wide_of_algebra: list
     algebra_of_wide: list
     mutually_inverse: bool
@@ -337,9 +319,9 @@ def galois(ctx: Context, guard: int = SCAN_GUARD) -> LatticeReport:
     witnesses: list = []
 
     algebras: dict = {}
-    generators: dict = {}
+    lattice_ops: dict = {}
 
-    def admit(basis: Basis, origin) -> bool:
+    def admit(basis: Basis) -> bool:
         k = basis.key()
         if k in algebras:
             return False
@@ -347,8 +329,17 @@ def galois(ctx: Context, guard: int = SCAN_GUARD) -> LatticeReport:
         if not rep.quasi_cartan:
             return False
         algebras[k] = basis
-        generators[k] = origin
         return True
+
+    def meet_join(c1: Basis, c2: Basis):
+        """spn N(C1 ^ C2, D) and alg(C1 u C2); both are symmetric in the
+        pair, so each unordered pair is computed once."""
+        k = frozenset((c1.key(), c2.key()))
+        if k not in lattice_ops:
+            certs = enumerate_normalizers(ctx, intersect_spans(c1, c2), guard)
+            lattice_ops[k] = (span_closure(ctx, [cert.n for cert in certs]),
+                              algebra_closure(ctx, c1.rows + c2.rows))
+        return lattice_ops[k]
 
     seen_closures = set()
     for gen in monic_off_generators(ctx, guard):
@@ -357,10 +348,10 @@ def galois(ctx: Context, guard: int = SCAN_GUARD) -> LatticeReport:
         if k in seen_closures:
             continue
         seen_closures.add(k)
-        admit(c, gen)
+        admit(c)
 
     for h in wides:
-        admit(subgroupoid_algebra(ctx, h), sorted(h))
+        admit(subgroupoid_algebra(ctx, h))
 
     changed = True
     while changed:
@@ -368,19 +359,12 @@ def galois(ctx: Context, guard: int = SCAN_GUARD) -> LatticeReport:
         current = list(algebras.values())
         for i, c1 in enumerate(current):
             for c2 in current[i + 1:]:
-                inter = intersect_spans(c1, c2)
-                meet = Basis(ctx)
-                for cert in enumerate_normalizers(ctx, inter, guard):
-                    meet.extend(cert.n)
-                join = algebra_closure(ctx, c1.rows + c2.rows)
-                if admit(meet, "meet"):
-                    changed = True
-                if admit(join, "join"):
-                    changed = True
+                for c in meet_join(c1, c2):
+                    if admit(c):
+                        changed = True
 
     keys = sorted(algebras)
     alg_list = [algebras[k] for k in keys]
-    gen_list = [generators[k] for k in keys]
     wide_index = {h: i for i, h in enumerate(wides)}
 
     mutually_inverse = True
@@ -437,20 +421,16 @@ def galois(ctx: Context, guard: int = SCAN_GUARD) -> LatticeReport:
             if wide_of_algebra[i] is None or wide_of_algebra[j] is None:
                 continue
             hi, hj = wides[wide_of_algebra[i]], wides[wide_of_algebra[j]]
-            inter = intersect_spans(bi, bj)
-            meet = Basis(ctx)
-            for cert in enumerate_normalizers(ctx, inter, guard):
-                meet.extend(cert.n)
+            meet, join = meet_join(bi, bj)
             if meet.key() != subgroupoid_algebra(ctx, hi & hj).key():
                 meet_matches = False
                 witnesses.append(("meet mismatch", i, j))
-            join = algebra_closure(ctx, bi.rows + bj.rows)
             hj_gen = g.close_arrow_set(hi | hj)
             if join.key() != subgroupoid_algebra(ctx, hj_gen).key():
                 join_matches = False
                 witnesses.append(("join mismatch", i, j))
 
-    return LatticeReport(ctx, wides, alg_list, gen_list, wide_of_algebra,
+    return LatticeReport(ctx, wides, alg_list, wide_of_algebra,
                          algebra_of_wide, mutually_inverse, order_isomorphism,
                          meet_matches, join_matches, witnesses)
 
@@ -715,18 +695,9 @@ def _expectation_axioms(ctx: Context, e_map, target: Basis) -> dict:
     # faithfulness: E(b a) = 0 for every b forces a = 0.  The normalizers of
     # a regular inclusion span A, so ranging b over an A-basis is the same
     # quantifier.
-    faithful = None
-    if ctx.ring.is_finite:
-        p = ctx.p
-        mat = np.zeros((len(deltas) * ctx.dim, ctx.dim), dtype=np.int64)
-        idx = 0
-        for b in deltas:
-            for a_j, a in enumerate(deltas):
-                img = e_map(b * a)
-                for pos in range(ctx.dim):
-                    mat[idx + pos, a_j] = img.value(pos)
-            idx += ctx.dim
-        faithful = exactlin.rank_mod_p(mat, p) == ctx.dim
+    mat = np.stack([np.concatenate([ctx.vec(e_map(b * a)) for b in deltas])
+                    for a in deltas], axis=1)
+    faithful = len(ctx.nullspace(mat)) == 0
     return {"onto": onto, "fixes_target": fixes, "idempotent": idem,
             "bimodule": bimod, "faithful": faithful,
             "conditional_expectation": onto and fixes and idem and bimod}

@@ -13,16 +13,14 @@ k = k0 n k0 (the remaining identities follow, and the D-conditions survive
 because n (d k0 n k0) d' k0 type products factor through D).
 """
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from cartan_lab import exactlin
 from cartan_lab.errors import GuardExceeded, InputError, InternalCheckError
 from cartan_lab.groupoid import Groupoid
-from cartan_lab.steinberg import Basis, Context, El, is_bisection, span_closure
+from cartan_lab.steinberg import Basis, Context, El, full_algebra_basis, is_bisection
 
 SCAN_GUARD = 3_000_000
 BATCH_CHUNK = 4096
@@ -52,10 +50,6 @@ class NormalizerCert:
         return True
 
 
-def _full_basis(ctx: Context) -> Basis:
-    return span_closure(ctx, ctx.basis_deltas())
-
-
 def dagger_closed_form(ctx: Context, n: El) -> El | None:
     """Candidate partner for a unit-valued element supported on a bisection:
     k(gamma^-1) = omega(gamma^-1, gamma)^-1 n(gamma)^-1.  Returns None when the
@@ -76,46 +70,21 @@ def dagger_closed_form(ctx: Context, n: El) -> El | None:
 
 
 def _system_rows(ctx: Context, n: El, rows_of):
-    """Constraint matrix and rhs for the partner solve, scalar path.
+    """Constraint matrix and rhs for the partner solve.
     rows_of is the list of basis elements spanning the allowed partners."""
     g = ctx.groupoid
-    d = len(rows_of)
-    off = list(g.off_units())
-    if ctx.is_fp:
-        nv = ctx.vec(n)
-        cols = []
-        for cj in rows_of:
-            cv = ctx.vec(cj)
-            block = list(ctx.conv_vec(ctx.conv_vec(nv, cv), nv))
-            for u in g.units():
-                uv = ctx.vec(ctx.delta(u))
-                block.extend(ctx.conv_vec(nv, ctx.conv_vec(uv, cv))[off])
-            for u in g.units():
-                uv = ctx.vec(ctx.delta(u))
-                block.extend(ctx.conv_vec(ctx.conv_vec(cv, uv), nv)[off])
-            cols.append(block)
-        rhs = list(nv) + [0] * (2 * g.n_units * len(off))
-        mat = [[int(cols[j][i]) for j in range(d)] for i in range(len(rhs))]
-        return mat, rhs
+    off = np.array(g.off_units(), dtype=np.int64)
+    nv = ctx.vec(n)
+    unit_vecs = [ctx.vec(ctx.delta(u)) for u in g.units()]
     cols = []
     for cj in rows_of:
-        block = []
-        ncn = n * cj * n
-        block.extend(ncn.value(a) for a in range(ctx.dim))
-        for u in g.units():
-            du = ctx.delta(u)
-            left = n * (du * cj)
-            block.extend(left.value(o) for o in off)
-        for u in g.units():
-            du = ctx.delta(u)
-            right = (cj * du) * n
-            block.extend(right.value(o) for o in off)
-        cols.append(block)
-    rhs = [n.value(a) for a in range(ctx.dim)]
-    rhs.extend([ctx.ring.zero] * (2 * g.n_units * len(off)))
-    nrows = len(rhs)
-    mat = [[cols[j][i] for j in range(d)] for i in range(nrows)]
-    return mat, rhs
+        cv = ctx.vec(cj)
+        block = [ctx.conv_vec(ctx.conv_vec(nv, cv), nv)]
+        block += [ctx.conv_vec(nv, ctx.conv_vec(uv, cv))[off] for uv in unit_vecs]
+        block += [ctx.conv_vec(ctx.conv_vec(cv, uv), nv)[off] for uv in unit_vecs]
+        cols.append(np.concatenate(block))
+    rhs = np.concatenate([nv, np.zeros(2 * g.n_units * len(off), dtype=nv.dtype)])
+    return np.stack(cols, axis=1), rhs
 
 
 def _certify_from_solution(ctx: Context, n: El, k0: El,
@@ -132,7 +101,7 @@ def is_normalizer(ctx: Context, n: El, c_basis: Basis | None = None):
     c_basis (the whole algebra when omitted)."""
     if not ctx.ring.is_field:
         raise InputError("normalizer decision needs a field")
-    basis = c_basis if c_basis is not None else _full_basis(ctx)
+    basis = c_basis if c_basis is not None else full_algebra_basis(ctx)
     if c_basis is not None and not c_basis.contains(n):
         raise InputError("candidate lies outside the subalgebra")
     if n.is_zero():
@@ -145,26 +114,10 @@ def is_normalizer(ctx: Context, n: El, c_basis: Basis | None = None):
     rows_of = basis.rows
     if not rows_of:
         return None
-    mat, rhs = _system_rows(ctx, n, rows_of)
-    if ctx.is_fp:
-        sol = exactlin.solve_mod_p(np.array(mat, dtype=np.int64),
-                                   np.array(rhs, dtype=np.int64), ctx.p)
-        if sol is None:
-            return None
-        k0 = ctx.zero()
-        for j, cj in enumerate(rows_of):
-            if sol[j]:
-                k0 = k0 + cj.scale(int(sol[j]))
-    else:
-        sol = exactlin.solve_frac([[Fraction(x) for x in row] for row in mat],
-                                  [Fraction(x) for x in rhs])
-        if sol is None:
-            return None
-        k0 = ctx.zero()
-        for j, cj in enumerate(rows_of):
-            if sol[j] != 0:
-                k0 = k0 + cj.scale(sol[j])
-    return _certify_from_solution(ctx, n, k0, c_basis)
+    sol = ctx.solve(*_system_rows(ctx, n, rows_of))
+    if sol is None:
+        return None
+    return _certify_from_solution(ctx, n, ctx.combination(sol, rows_of), c_basis)
 
 
 def exhaustive_partners(ctx: Context, n: El, c_basis: Basis | None = None,
@@ -173,7 +126,7 @@ def exhaustive_partners(ctx: Context, n: El, c_basis: Basis | None = None,
     used to cross-check partner uniqueness on tiny contexts."""
     if not ctx.ring.is_finite:
         raise InputError("exhaustive partner scan needs a finite ring")
-    basis = c_basis if c_basis is not None else _full_basis(ctx)
+    basis = c_basis if c_basis is not None else full_algebra_basis(ctx)
     count = len(ctx.ring.elements()) ** basis.dim
     if count > guard:
         raise GuardExceeded("exhaustive partner scan", count, guard)
@@ -245,7 +198,7 @@ def enumerate_normalizers(ctx: Context, c_basis: Basis | None = None,
     the batched path only prefilters, each survivor is certified exactly."""
     if not ctx.ring.is_field or not ctx.ring.is_finite:
         raise InputError("normalizer enumeration needs a finite field")
-    basis = c_basis if c_basis is not None else _full_basis(ctx)
+    basis = c_basis if c_basis is not None else full_algebra_basis(ctx)
     certs = [NormalizerCert(ctx.zero(), ctx.zero())]
     if basis.dim == 0:
         return certs
@@ -264,52 +217,6 @@ def enumerate_normalizers(ctx: Context, c_basis: Basis | None = None,
             certs.append(NormalizerCert(n.scale(lam),
                                         cert.dagger.scale(ctx.ring.try_inv(lam))))
     return certs
-
-
-def structured_unit_bisection_normalizers(ctx: Context, c_basis: Basis | None = None,
-                                          max_bisections: int = 200_000):
-    """Fast path: unit multiples of bisection indicators that certify.  Sound
-    but deliberately incomplete; tests cross-check it against the full scan."""
-    if not ctx.ring.is_finite:
-        raise InputError("structured scan needs a finite ring")
-    g = ctx.groupoid
-    basis = c_basis if c_basis is not None else _full_basis(ctx)
-    units_r = ctx.ring.units()
-    by_pair: dict = {}
-    for a in range(g.num_arrows):
-        by_pair.setdefault((int(g.tgt[a]), int(g.src[a])), []).append(a)
-    # enumerate partial injections on units together with an arrow choice
-    unit_list = list(g.units())
-    out = []
-    seen = 0
-    def rec(idx, used_src, chosen):
-        nonlocal seen
-        if seen > max_bisections:
-            raise GuardExceeded("structured bisection scan", seen, max_bisections)
-        if idx == len(unit_list):
-            seen += 1
-            if not chosen:
-                return
-            for values in itertools.product(units_r, repeat=len(chosen)):
-                n = El(ctx, dict(zip(chosen, values)))
-                if c_basis is not None and not basis.contains(n):
-                    continue
-                k = dagger_closed_form(ctx, n)
-                if k is None:
-                    continue
-                cert = NormalizerCert(n, k)
-                if cert.verify(c_basis):
-                    out.append(cert)
-            return
-        v = unit_list[idx]
-        rec(idx + 1, used_src, chosen)
-        for w in unit_list:
-            if w in used_src:
-                continue
-            for a in by_pair.get((v, w), []):
-                rec(idx + 1, used_src | {w}, chosen + [a])
-    rec(0, frozenset(), [])
-    return out
 
 
 # -- order and freeness ------------------------------------------------------

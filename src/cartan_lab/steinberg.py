@@ -7,7 +7,9 @@ over that table.  Prime-field contexts also expose a batched numpy path used
 by the normalizer scan.
 
 Elements are sparse dicts {arrow: coefficient} with zeros purged, so
-structural equality is mathematical equality.
+structural equality is mathematical equality.  Dense vectors and the exact
+solves behind them are the one place that knows how coefficients are
+stored: numpy int64 residues over F_p, object arrays of Fraction over Q.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from cartan_lab import coeff as coeffmod
+from cartan_lab import exactlin
 from cartan_lab import groupoid as gpd
 from cartan_lab import twist as twistmod
 from cartan_lab.coeff import Ring, parse_ring
@@ -46,13 +49,14 @@ class Context:
         self._fact = pairs
         self._omega = [self.cocycle.omega(a, b) for a, b in pairs]
         self.is_fp = ring.kind == coeffmod.PRIME_FIELD
+        self._dtype = np.int64 if self.is_fp else object
         if self.is_fp:
             self.p = ring.modulus
-            self._A = np.array([a for a, b in pairs], dtype=np.int64)
-            self._B = np.array([b for a, b in pairs], dtype=np.int64)
-            self._C = np.array([int(groupoid.comp[a, b]) for a, b in pairs],
-                               dtype=np.int64)
-            self._W = np.array([int(w) for w in self._omega], dtype=np.int64)
+        self._A = np.array([a for a, b in pairs], dtype=np.int64)
+        self._B = np.array([b for a, b in pairs], dtype=np.int64)
+        self._C = np.array([int(groupoid.comp[a, b]) for a, b in pairs],
+                           dtype=np.int64)
+        self._W = np.array(self._omega, dtype=self._dtype)
 
     # -- element constructors ------------------------------------------------
 
@@ -79,22 +83,41 @@ class Context:
     def basis_deltas(self):
         return [self.delta(a) for a in range(self.dim)]
 
-    # -- numpy bridge (prime fields) -----------------------------------------
+    # -- dense vectors and exact solves (the coefficient backend) -------------
 
     def vec(self, el: "El") -> np.ndarray:
-        v = np.zeros(self.dim, dtype=np.int64)
+        v = np.zeros(self.dim, dtype=self._dtype)
         for a, c in el.coeffs.items():
-            v[a] = int(c)
+            v[a] = c
         return v
 
     def el_of_vec(self, v) -> "El":
-        return El(self, {int(a): int(v[a]) % self.p
-                         for a in range(self.dim) if v[a] % self.p})
+        return El(self, {int(a): v[a] for a in np.nonzero(v)[0]})
 
     def conv_vec(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=np.int64)
+        out = np.zeros(self.dim, dtype=self._dtype)
         np.add.at(out, self._C, self._W * f[self._A] * g[self._B])
-        return out % self.p
+        return out % self.p if self.is_fp else out
+
+    def solve(self, mat, rhs):
+        """One solution x of mat x = rhs (free variables 0), or None."""
+        if self.is_fp:
+            return exactlin.solve_mod_p(mat, rhs, self.p)
+        return exactlin.solve_frac(mat, rhs)
+
+    def nullspace(self, mat):
+        """Basis of the right nullspace of mat, one vector per entry."""
+        if self.is_fp:
+            return exactlin.nullspace_mod_p(mat, self.p)
+        return exactlin.nullspace_frac(mat)
+
+    def combination(self, coeffs, rows) -> "El":
+        """sum_j coeffs[j] rows[j]; extra coefficients are ignored."""
+        out = self.zero()
+        for c, row in zip(coeffs, rows):
+            if c:
+                out = out + row.scale(c)
+        return out
 
     def conv_batch(self, F: np.ndarray, G: np.ndarray) -> np.ndarray:
         """Row-wise convolution of two (B, dim) batches."""
@@ -142,14 +165,6 @@ class Context:
     def off_unit_part(self, f: "El") -> "El":
         return El(self, {a: v for a, v in f.coeffs.items()
                          if not self.groupoid.is_unit(a)})
-
-    def local_unit(self, f: "El") -> "El":
-        g = self.groupoid
-        touched = set()
-        for a in f.coeffs:
-            touched.add(int(g.src[a]))
-            touched.add(int(g.tgt[a]))
-        return self.indicator(sorted(touched))
 
     def random_element(self, rng, support=None) -> "El":
         arrows = range(self.dim) if support is None else support
@@ -364,59 +379,22 @@ def span_closure(ctx: Context, elements) -> Basis:
     return b
 
 
+def full_algebra_basis(ctx: Context) -> Basis:
+    return span_closure(ctx, ctx.basis_deltas())
+
+
 def intersect_spans(b1: Basis, b2: Basis) -> Basis:
-    """Intersection of two spans via rank counting over the joint span."""
+    """Intersection of two spans: each kernel vector x of [rows1 | -rows2]
+    gives the common element sum_j x_j rows1[j]."""
     ctx = b1.ctx
-    joint = span_closure(ctx, list(b1.rows) + list(b2.rows))
-    # solve: x in span(b1) with x in span(b2); use the standard kernel trick
-    # over the concatenated coefficient matrix
-    r = ctx.ring
-    rows1, rows2 = b1.rows, b2.rows
-    n1, n2 = len(rows1), len(rows2)
-    if n1 == 0 or n2 == 0:
+    if not b1.rows or not b2.rows:
         return Basis(ctx)
-    arrows = sorted({a for row in rows1 + rows2 for a in row.coeffs})
-    aidx = {a: i for i, a in enumerate(arrows)}
-    if ctx.is_fp:
-        from cartan_lab import exactlin
-        m = np.zeros((len(arrows), n1 + n2), dtype=np.int64)
-        for j, row in enumerate(rows1):
-            for a, v in row.coeffs.items():
-                m[aidx[a], j] = int(v)
-        for j, row in enumerate(rows2):
-            for a, v in row.coeffs.items():
-                m[aidx[a], n1 + j] = (-int(v)) % ctx.p
-        null = exactlin.nullspace_mod_p(m, ctx.p)
-        out = Basis(ctx)
-        for vec in null:
-            el = ctx.zero()
-            for j in range(n1):
-                if vec[j]:
-                    el = el + rows1[j].scale(int(vec[j]))
-            out.extend(el)
-        return out
-    # rationals: same trick with Fractions
-    from cartan_lab import exactlin
-    m = [[Fraction(0)] * (n1 + n2) for _ in arrows]
-    for j, row in enumerate(rows1):
-        for a, v in row.coeffs.items():
-            m[aidx[a]][j] = Fraction(v)
-    for j, row in enumerate(rows2):
-        for a, v in row.coeffs.items():
-            m[aidx[a]][n1 + j] = -Fraction(v)
-    red, pivots = exactlin.rref_frac(m)
-    free = [c for c in range(n1 + n2) if c not in pivots]
+    m = np.stack([ctx.vec(row) for row in b1.rows]
+                 + [-ctx.vec(row) for row in b2.rows], axis=1)
+    m = m[(m != 0).any(axis=1)]   # arrows outside both supports: zero rows
     out = Basis(ctx)
-    for fc in free:
-        colvec = [Fraction(0)] * (n1 + n2)
-        colvec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            colvec[pc] = -red[i][fc]
-        el = ctx.zero()
-        for j in range(n1):
-            if colvec[j] != 0:
-                el = el + rows1[j].scale(colvec[j])
-        out.extend(el)
+    for x in ctx.nullspace(m):
+        out.extend(ctx.combination(x, b1.rows))
     return out
 
 
@@ -511,16 +489,3 @@ def decompose_bisections(f: El, refined: bool = False):
         if not is_bisection(g, arrows):
             raise InternalCheckError("decomposition produced a non-bisection piece")
     return pieces
-
-
-def restriction_map(ctx: Context, f: El, unit_subset):
-    """Restrict to an invariant unit set; returns (sub_context, restricted f)."""
-    sub_g, arrow_map = ctx.groupoid.restrict(unit_subset)
-    table = {}
-    for (a, b), v in ctx.cocycle.table.items():
-        if a in arrow_map and b in arrow_map:
-            table[(arrow_map[a], arrow_map[b])] = v
-    sub_ctx = Context(sub_g, ctx.ring, twistmod.Cocycle(sub_g, ctx.ring, table),
-                      label=f"{ctx.label}|restricted")
-    out = {arrow_map[a]: v for a, v in f.coeffs.items() if a in arrow_map}
-    return sub_ctx, El(sub_ctx, out)

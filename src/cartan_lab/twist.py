@@ -1,5 +1,5 @@
 """Discrete twists: normalized 2-cocycles with values in the units of the ring,
-the associated total groupoid on R^x x G, and the contravariant-function model.
+and the associated total groupoid on R^x x G.
 """
 
 from dataclasses import dataclass, field
@@ -73,17 +73,14 @@ def trivial_cocycle(g: Groupoid, r: Ring) -> Cocycle:
 
 
 def cocycle_from_json(g: Groupoid, r: Ring, entries) -> Cocycle:
+    """Parse a cocycle table; Context validates it when it is built."""
     table = {}
     for rec in entries or []:
         a, b = int(rec["a"]), int(rec["b"])
         v = r.coeff_from_str(str(rec["value"]))
         if v != r.one:
             table[(a, b)] = v
-    c = Cocycle(g, r, table)
-    ok, msg = c.validate()
-    if not ok:
-        raise InputError(f"invalid cocycle: {msg}")
-    return c
+    return Cocycle(g, r, table)
 
 
 # -- total groupoid ----------------------------------------------------------
@@ -147,90 +144,3 @@ def sigma_total(cocycle: Cocycle):
             if left != right:
                 raise InternalCheckError("unit fiber is not central")
     return sigma, pair_of, ids, q
-
-
-# -- contravariant function model --------------------------------------------
-
-def _conv_twisted(cocycle: Cocycle, f: dict, h: dict) -> dict:
-    """Local twisted convolution on G over coefficient dicts (independent of
-    the main algebra implementation on purpose; this is a cross-check)."""
-    g = cocycle.groupoid
-    r = cocycle.ring
-    out = {}
-    for a, fa in f.items():
-        for b, hb in h.items():
-            c = g.comp[a, b]
-            if c < 0:
-                continue
-            c = int(c)
-            out[c] = r.add(out.get(c, r.zero), r.mul(cocycle.omega(a, b), r.mul(fa, hb)))
-    return {k: v for k, v in out.items() if v != r.zero}
-
-
-def contravariant_roundtrip(cocycle: Cocycle, f: dict, h: dict) -> dict:
-    """Check the function-model equivalence on a pair of elements.
-
-    Lifts f to F(t, gamma) = t^-1 f(gamma), checks contravariance under the
-    scaling action, checks that restriction to t = 1 returns f, and checks
-    that the lift intertwines the twisted convolution on G with the plain
-    transversal convolution on the total groupoid.  Returns a report dict.
-    """
-    g = cocycle.groupoid
-    r = cocycle.ring
-    if not r.is_finite:
-        raise InputError("roundtrip check needs a finite coefficient ring")
-    units = r.units()
-
-    def lift(fn):
-        return {(t, a): r.mul(r.try_inv(t), v)
-                for t in units for a, v in fn.items()}
-
-    F, H = lift(f), lift(h)
-    contravariant = all(
-        F.get((r.mul(t2, t), a), r.zero) == r.mul(r.try_inv(t2), v)
-        for (t, a), v in F.items() for t2 in units)
-    back = {a: v for (t, a), v in F.items() if t == r.one}
-    returns = back == {a: v for a, v in f.items() if v != r.zero}
-
-    conv_g = _conv_twisted(cocycle, f, h)
-    lifted_conv = lift(conv_g)
-
-    # transversal convolution on the total groupoid: for gamma = alpha.beta
-    # lift alpha at t = 1, then the second factor is forced
-    def sigma_conv(F1, F2):
-        out = {}
-        for t in units:
-            for a in range(g.num_arrows):
-                for b in range(g.num_arrows):
-                    c = g.comp[a, b]
-                    if c < 0:
-                        continue
-                    t2 = r.mul(t, r.try_inv(cocycle.omega(a, b)))
-                    term = r.mul(F1.get((r.one, a), r.zero), F2.get((t2, b), r.zero))
-                    key = (t, int(c))
-                    out[key] = r.add(out.get(key, r.zero), term)
-        return {k: v for k, v in out.items() if v != r.zero}
-
-    # the same sum over a different transversal (second factor at t = 1) must agree
-    def sigma_conv_shifted(F1, F2):
-        out = {}
-        for t in units:
-            for a in range(g.num_arrows):
-                for b in range(g.num_arrows):
-                    c = g.comp[a, b]
-                    if c < 0:
-                        continue
-                    t1 = r.mul(t, r.try_inv(cocycle.omega(a, b)))
-                    term = r.mul(F1.get((t1, a), r.zero), F2.get((r.one, b), r.zero))
-                    key = (t, int(c))
-                    out[key] = r.add(out.get(key, r.zero), term)
-        return {k: v for k, v in out.items() if v != r.zero}
-
-    sc = sigma_conv(F, H)
-    sc2 = sigma_conv_shifted(F, H)
-    return {
-        "contravariant": contravariant,
-        "restriction_returns": returns,
-        "intertwines": sc == lifted_conv,
-        "transversal_independent": sc == sc2,
-    }

@@ -97,6 +97,16 @@ def test_guard_exceeded_exits_three(tmp_path, capsys):
     assert "exceeds guard 5" in rep["message"]
 
 
+def test_obstruct_honours_guard_dim(capsys):
+    # Z2/F3 with one unit: 3 + 3^2 = 12 diagonal families of size <= 2
+    path = str(CORPUS / "18-z2-f3-obstruct.json")
+    code, out = run_cli(["obstruct", "--context", path, "--guard-dim", "10"], capsys)
+    assert code == 3
+    rep = json.loads(out)
+    assert rep["error"] == "guard-exceeded"
+    assert "measured 12 exceeds guard 10" in rep["message"]
+
+
 def test_classify_with_subalgebra(tmp_path, capsys):
     data = {"context": {
         "groupoid": {"build": {"kind": "cyclic_group", "n": 3}},

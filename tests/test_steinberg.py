@@ -162,6 +162,24 @@ def test_span_intersection(pair3_f3):
     assert mid.contains(ctx.delta(1))
 
 
+@pytest.mark.parametrize("ring", ["Q", "F2", "F3"])
+def test_span_intersection_random(rings, ring):
+    ctx = make_context(gpd.pair_groupoid(3), rings[ring])
+    rng = random.Random(11)
+
+    def random_span():
+        support = rng.sample(range(ctx.dim), rng.randint(3, ctx.dim))
+        return span_closure(ctx, [ctx.random_element(rng, support=support)
+                                  for _ in range(rng.randint(0, 6))])
+
+    for _ in range(25):
+        b1, b2 = random_span(), random_span()
+        mid = intersect_spans(b1, b2)
+        assert all(b1.contains(row) and b2.contains(row) for row in mid.rows)
+        joint = span_closure(ctx, b1.rows + b2.rows)
+        assert mid.dim == b1.dim + b2.dim - joint.dim
+
+
 def test_element_json_roundtrip(z3_f5):
     ctx = z3_f5
     f = ctx.delta(0, 2) + ctx.delta(2, 4)
