@@ -48,10 +48,6 @@ def rref_mod_p(mat: np.ndarray, p: int):
     return m, pivots
 
 
-def rank_mod_p(mat: np.ndarray, p: int) -> int:
-    return len(rref_mod_p(mat, p)[1])
-
-
 def solve_mod_p(a: np.ndarray, b: np.ndarray, p: int):
     """One solution of a x = b mod p (free variables set to 0), or None."""
     a = np.array(a, dtype=np.int64) % p
@@ -115,12 +111,6 @@ def _batch_eliminate_mod_p(m: np.ndarray, p: int, ncols: int) -> np.ndarray:
         if (rank == maxrank).all():
             break
     return rank
-
-
-def batch_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a batch of matrices, shape (B, R, C)."""
-    m = np.array(mats, dtype=np.int64) % p
-    return _batch_eliminate_mod_p(m, p, m.shape[2])
 
 
 def batch_solvable_mod_p(mats: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray:

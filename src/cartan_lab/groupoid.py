@@ -455,25 +455,30 @@ def attach_isotropy(base: Groupoid, unit: int, group_table, label=None) -> Group
 # -- JSON --------------------------------------------------------------------
 
 def build_from_json(spec: dict) -> Groupoid:
-    kind = spec.get("kind")
-    if kind == "pair":
-        g = pair_groupoid(int(spec["n"]))
-    elif kind == "group":
-        g = from_group(spec["table"], label=spec.get("label", "group"))
-    elif kind == "cyclic_group":
-        g = from_group(cyclic_table(int(spec["n"])), label=f"Z{spec['n']}")
-    elif kind == "action":
-        g = from_action(spec["group_table"], [list(p) for p in spec["perms"]],
-                        label=spec.get("label", "action"))
-    elif kind == "sign_flip":
-        g = sign_flip_groupoid(int(spec.get("radius", 2)))
-    elif kind == "disjoint_union":
-        g = disjoint_union([build_from_json(p) for p in spec["parts"]])
-    elif kind == "attach_isotropy":
-        g = attach_isotropy(build_from_json(spec["base"]), int(spec["unit"]),
-                            spec["group_table"])
-    else:
-        raise InputError(f"unknown build kind {kind!r}")
+    try:
+        kind = spec.get("kind")
+        if kind == "pair":
+            g = pair_groupoid(int(spec["n"]))
+        elif kind == "group":
+            g = from_group(spec["table"], label=spec.get("label", "group"))
+        elif kind == "cyclic_group":
+            g = from_group(cyclic_table(int(spec["n"])), label=f"Z{spec['n']}")
+        elif kind == "action":
+            g = from_action(spec["group_table"], [list(p) for p in spec["perms"]],
+                            label=spec.get("label", "action"))
+        elif kind == "sign_flip":
+            g = sign_flip_groupoid(int(spec.get("radius", 2)))
+        elif kind == "disjoint_union":
+            g = disjoint_union([build_from_json(p) for p in spec["parts"]])
+        elif kind == "attach_isotropy":
+            g = attach_isotropy(build_from_json(spec["base"]), int(spec["unit"]),
+                                spec["group_table"])
+        else:
+            raise InputError(f"unknown build kind {kind!r}")
+    except InputError:   # a ValueError too; keep its own message
+        raise
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed build spec: {exc!r}") from exc
     g.build_json = dict(spec)
     return g
 

@@ -383,6 +383,27 @@ def full_algebra_basis(ctx: Context) -> Basis:
     return span_closure(ctx, ctx.basis_deltas())
 
 
+def corner_bases(basis: Basis) -> dict:
+    """The nonzero corners delta_v C delta_w of C = span(basis), keyed (v, w).
+
+    The cocycle is normalized, so delta_v f delta_w is f restricted to the
+    arrows from w to v.  C is a D-bimodule exactly when it is the direct sum
+    of these corners, and then its reduced echelon basis is the union of the
+    corners' ones: every row lies in one corner, and the corner dimensions
+    sum to dim C.  A row that meets two corners raises InputError."""
+    g = basis.ctx.groupoid
+    corners: dict = {}
+    for piv, row in zip(basis.pivots, basis.rows):
+        ends = {(int(g.tgt[a]), int(g.src[a])) for a in row.coeffs}
+        if len(ends) != 1:
+            raise InputError("span is not a D-bimodule: a basis row meets "
+                             f"the corners {sorted(ends)}")
+        corner = corners.setdefault(ends.pop(), Basis(basis.ctx))
+        corner.rows.append(row)
+        corner.pivots.append(piv)
+    return corners
+
+
 def intersect_spans(b1: Basis, b2: Basis) -> Basis:
     """Intersection of two spans: each kernel vector x of [rows1 | -rows2]
     gives the common element sum_j x_j rows1[j]."""

@@ -75,11 +75,16 @@ def trivial_cocycle(g: Groupoid, r: Ring) -> Cocycle:
 def cocycle_from_json(g: Groupoid, r: Ring, entries) -> Cocycle:
     """Parse a cocycle table; Context validates it when it is built."""
     table = {}
-    for rec in entries or []:
-        a, b = int(rec["a"]), int(rec["b"])
-        v = r.coeff_from_str(str(rec["value"]))
-        if v != r.one:
-            table[(a, b)] = v
+    try:
+        for rec in entries or []:
+            a, b = int(rec["a"]), int(rec["b"])
+            v = r.coeff_from_str(str(rec["value"]))
+            if v != r.one:
+                table[(a, b)] = v
+    except InputError:   # a ValueError too; keep its own message
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed cocycle entry: {exc!r}") from exc
     return Cocycle(g, r, table)
 
 

@@ -85,6 +85,33 @@ def test_broken_table_exits_two_with_witness(tmp_path, capsys):
     assert "composable pair (1,1) has no product" in msg
 
 
+@pytest.mark.parametrize("context", [
+    {"groupoid": {"build": {"kind": "pair", "n": "x"}}, "ring": "F3", "cocycle": None},
+    {"groupoid": {"build": {"kind": "cyclic_group", "n": 2}}, "ring": "F3",
+     "cocycle": [{"a": 1, "value": "2"}]},
+], ids=["build-n-not-an-integer", "cocycle-entry-without-b"])
+def test_malformed_context_exits_two(tmp_path, capsys, context):
+    path = write_ctx(tmp_path, {"context": context})
+    code, out = run_cli(["classify", "--context", path], capsys)
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["error"] == "input-error"
+    assert "malformed" in rep["message"]
+
+
+def test_corpus_isolates_a_malformed_job(tmp_path, capsys):
+    good = {"command": "classify", "context": PAIR2_F3["context"], "expect": "ADP"}
+    bad = {"command": "classify", "expect": "ADP", "context": {
+        "groupoid": {"build": {"kind": "pair", "n": "x"}}, "ring": "F3", "cocycle": None}}
+    for name, job in (("a.json", good), ("b.json", bad), ("c.json", good)):
+        (tmp_path / name).write_text(json.dumps(job))
+    code, out = run_cli(["corpus", str(tmp_path)], capsys)
+    assert code == 1
+    summary = json.loads(out)
+    assert [row["status"] for row in summary["table"]] == ["pass", "input-error", "pass"]
+    assert summary["passed"] == 2
+
+
 def test_guard_exceeded_exits_three(tmp_path, capsys):
     data = {"context": {"groupoid": {"build": {"kind": "pair", "n": 3}},
                         "ring": "F3", "cocycle": None}}

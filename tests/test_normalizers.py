@@ -8,11 +8,13 @@ import pytest
 from cartan_lab import coeff, exactlin, twist
 from cartan_lab import groupoid as gpd
 from cartan_lab import normalizers as nz
-from cartan_lab.errors import GuardExceeded
+from cartan_lab.errors import GuardExceeded, InputError
 from cartan_lab.inclusions import diagonal_basis, subgroupoid_algebra
-from cartan_lab.steinberg import Context
+from cartan_lab.steinberg import (Context, algebra_closure, corner_bases, full_algebra_basis,
+                                  span_closure)
 
-from conftest import KLEIN_TABLE, arrow_between, klein_bicharacter, make_context
+from conftest import (K2XZ2_PERMS, KLEIN_TABLE, arrow_between, klein_bicharacter,
+                      make_context)
 
 
 # -- certificates and daggers ------------------------------------------------
@@ -145,7 +147,6 @@ def test_enumerate_diagonal_only(pair3_f3):
 def test_example_subalgebra_normalizers_leave_d(z3_f5):
     # span{delta_0, delta_1 + delta_2}: w itself is an invertible normalizer,
     # so the span of N(C,D) recovers all of C
-    from cartan_lab.steinberg import algebra_closure, span_closure
     w = z3_f5.delta(1) + z3_f5.delta(2)
     c = algebra_closure(z3_f5, [w])
     certs = nz.enumerate_normalizers(z3_f5, c)
@@ -156,6 +157,114 @@ def test_example_subalgebra_normalizers_leave_d(z3_f5):
 def test_enumeration_guard(pair3_f3):
     with pytest.raises(GuardExceeded):
         nz.enumerate_normalizers(pair3_f3, guard=100)
+
+
+# -- corner-wise enumeration against the exhaustive scan ----------------------
+
+def reference_normalizers(ctx, basis):
+    """The exhaustive scan: every monic element of the span in coordinate
+    order, certified one at a time, each followed by its scalings."""
+    r = ctx.ring
+    scalings = [lam for lam in r.units() if lam != r.one]
+
+    def coords(n):
+        return tuple(n.value(p) for p in basis.pivots)
+
+    certs = [nz.NormalizerCert(ctx.zero(), ctx.zero())]
+    for n in sorted(basis.elements(), key=coords):
+        leading = [c for c in coords(n) if c != r.zero]
+        if not leading or leading[0] != r.one:
+            continue
+        cert = nz.is_normalizer(ctx, n, basis)
+        if cert is None:
+            continue
+        certs.append(cert)
+        certs += [nz.NormalizerCert(n.scale(lam), cert.dagger.scale(r.try_inv(lam)))
+                  for lam in scalings]
+    return certs
+
+
+def k2xz2_bicharacter(g, ring):
+    """The Klein bicharacter pulled back to k2xz2: the pair ((a, h.x), (h, x))
+    gets sigma(a, h).  Arrow (a, x) has id x for the identity, 2a + x
+    otherwise."""
+    def aid(a, x):
+        return x if a == 0 else 2 * a + x
+    minus = ring.normalize(-1)
+    table = {(aid(a, K2XZ2_PERMS[h][x]), aid(h, x)): minus
+             for a in range(1, 4) for h in range(1, 4) for x in range(2)
+             if (a & 1) and (h >> 1) & 1}
+    return twist.Cocycle(g, ring, table)
+
+
+def _oracle_context(name):
+    f2, f3, f5 = (coeff.Ring(coeff.PRIME_FIELD, p) for p in (2, 3, 5))
+    k2xz2 = gpd.from_action(KLEIN_TABLE, K2XZ2_PERMS, label="k2xz2")
+    klein = gpd.from_group(KLEIN_TABLE)
+    iso = gpd.attach_isotropy(gpd.disjoint_union([gpd.pair_groupoid(2), gpd.pair_groupoid(1)]),
+                              2, gpd.cyclic_table(3))
+    return {
+        "pair3/F2": lambda: make_context(gpd.pair_groupoid(3), f2),
+        "pair3/F3": lambda: make_context(gpd.pair_groupoid(3), f3),
+        "z2/F3": lambda: make_context(gpd.from_group(gpd.cyclic_table(2)), f3),
+        "z3/F5": lambda: make_context(gpd.from_group(gpd.cyclic_table(3)), f5),
+        "k2xz2/F3": lambda: make_context(k2xz2, f3),
+        "k2xz2/F3 twisted": lambda: Context(k2xz2, f3, k2xz2_bicharacter(k2xz2, f3)),
+        "klein/F3 twisted": lambda: Context(klein, f3, klein_bicharacter(klein, f3)),
+        "sign_flip(1)/F3": lambda: make_context(gpd.sign_flip_groupoid(1), f3),
+        "iso(pair2+pair1,Z3)/F3": lambda: make_context(iso, f3),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", ["pair3/F2", "pair3/F3", "z2/F3", "z3/F5", "k2xz2/F3",
+                                  "k2xz2/F3 twisted", "klein/F3 twisted",
+                                  "sign_flip(1)/F3", "iso(pair2+pair1,Z3)/F3"])
+def test_enumeration_matches_exhaustive_scan(name):
+    ctx = _oracle_context(name)
+    rng = random.Random(41)
+    spans = {}
+    for c in [full_algebra_basis(ctx)] + [
+            algebra_closure(ctx, [ctx.random_element(rng, rng.sample(range(ctx.dim), 2))])
+            for _ in range(5)]:
+        spans.setdefault(c.key(), c)
+    for c in spans.values():
+        got = nz.enumerate_normalizers(ctx, c)
+        want = reference_normalizers(ctx, c)
+        assert [(x.n, x.dagger) for x in got] == [(x.n, x.dagger) for x in want]
+
+
+def test_corner_scan_prefilters_one_candidate_per_corner(pair3_f3, monkeypatch):
+    seen = []
+    batch = exactlin.batch_solvable_mod_p
+
+    def counting(mats, rhs, p):
+        seen.append(mats.shape[0])
+        return batch(mats, rhs, p)
+
+    monkeypatch.setattr(exactlin, "batch_solvable_mod_p", counting)
+    certs = nz.enumerate_normalizers(pair3_f3)
+    assert sum(seen) == 9
+    assert len(certs) == 139
+
+
+def test_corner_bases_partition_the_span(pair3_f3, z3_f5):
+    for ctx in (pair3_f3, z3_f5):
+        full = full_algebra_basis(ctx)
+        corners = corner_bases(full)
+        assert sum(c.dim for c in corners.values()) == full.dim
+        g = ctx.groupoid
+        for (v, w), corner in corners.items():
+            for row in corner.rows:
+                assert {(int(g.tgt[a]), int(g.src[a])) for a in row.coeffs} == {(v, w)}
+    sub = algebra_closure(pair3_f3, [pair3_f3.delta(arrow_between(pair3_f3.groupoid, 0, 1))])
+    assert sum(c.dim for c in corner_bases(sub).values()) == sub.dim
+
+
+def test_corner_bases_refuse_a_non_bimodule(pair3_f3):
+    gamma = arrow_between(pair3_f3.groupoid, 0, 1)
+    span = span_closure(pair3_f3, [pair3_f3.delta(0) + pair3_f3.delta(gamma)])
+    with pytest.raises(InputError):
+        corner_bases(span)
 
 
 # -- order and filters -------------------------------------------------------
@@ -300,13 +409,13 @@ def test_reconstruction_quotient_shape(pair3_f2):
 
 # -- batched linear algebra --------------------------------------------------
 
-def test_batch_rank_matches_single(pair3_f3):
+def test_batch_rank_matches_single():
     rng = np.random.default_rng(5)
     for p in (2, 3, 5):
         mats = rng.integers(0, p, size=(40, 5, 4))
-        ranks = exactlin.batch_rank_mod_p(mats, p)
+        ranks = exactlin._batch_eliminate_mod_p(mats % p, p, mats.shape[2])
         for i in range(mats.shape[0]):
-            assert ranks[i] == exactlin.rank_mod_p(mats[i], p)
+            assert ranks[i] == len(exactlin.rref_mod_p(mats[i], p)[1])
 
 
 def test_batch_solvable_matches_brute_force():
