@@ -3,7 +3,8 @@
 Every command loads a context file, runs one engine entry point, and
 prints a deterministic UTF-8 JSON report (sorted keys, no timestamps).
 Exit codes: 0 success or expected verdict matched, 1 verdict mismatch,
-2 input error, 3 guard exceeded.
+2 input error, 3 guard exceeded, 4 internal error (a failed self-check: a bug,
+not bad input).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from . import expectation as expmod
 from . import inclusions as inclmod
 from . import normalizers as normmod
-from .errors import GuardExceeded, InputError
+from .errors import GuardExceeded, InputError, InternalCheckError
 from .steinberg import (Basis, Context, El, algebra_closure, context_from_json,
                         el_from_json)
 
@@ -28,8 +29,9 @@ SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
-EXIT_INPUT = 2
-EXIT_GUARD = 3
+# how a command that stops early is reported: (exception, "error" kind, exit code)
+REFUSALS = ((InputError, "input-error", 2), (GuardExceeded, "guard-exceeded", 3),
+            (InternalCheckError, "internal-error", 4))
 
 
 def _jsonable(obj):
@@ -235,13 +237,16 @@ def _emit(report: dict, out_path: str | None) -> None:
         Path(out_path).write_text(text, encoding="utf-8")
 
 
-def _error_report(command: str, kind: str, message: str) -> dict:
-    return {
+def _error_report(command: str, exc: Exception) -> tuple[dict, int]:
+    """The report of a refused command, and its exit code."""
+    kind, code = next((kind, code) for cls, kind, code in REFUSALS if isinstance(exc, cls))
+    report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "error": kind,
-        "message": message,
+        "message": str(exc),
     }
+    return report, code
 
 
 def _job_status(report: dict) -> str:
@@ -273,12 +278,9 @@ def _run_corpus(dirpath: str, opts: dict) -> tuple[dict, int]:
                 job_opts["seed"] = int(options["seed"])
             job_opts["expect"] = job.get("expect")
             return _run_one(command, job, job_opts)
-        except InputError as exc:
+        except (InputError, GuardExceeded, InternalCheckError) as exc:
             cmd = job.get("command", "?") if isinstance(job, dict) else "?"
-            return _error_report(cmd, "input-error", str(exc))
-        except GuardExceeded as exc:
-            cmd = job.get("command", "?") if isinstance(job, dict) else "?"
-            return _error_report(cmd, "guard-exceeded", str(exc))
+            return _error_report(cmd, exc)[0]
 
     if files:
         with ThreadPoolExecutor(max_workers=min(4, len(files))) as pool:
@@ -338,12 +340,10 @@ def main(argv=None) -> int:
             return code
         data = _load_json(args.context)
         report = _run_one(args.command, data, opts)
-    except InputError as exc:
-        _emit(_error_report(args.command, "input-error", str(exc)), args.out)
-        return EXIT_INPUT
-    except GuardExceeded as exc:
-        _emit(_error_report(args.command, "guard-exceeded", str(exc)), args.out)
-        return EXIT_GUARD
+    except (InputError, GuardExceeded, InternalCheckError) as exc:
+        report, code = _error_report(args.command, exc)
+        _emit(report, args.out)
+        return code
     _emit(report, args.out)
     if report.get("match") is False:
         return EXIT_MISMATCH

@@ -122,9 +122,10 @@ class Ring:
         """Does lambda * e = 0 force lambda = 0 for every idempotent e != 0?
 
         Returns (True, None) or (False, (lam, e)) with the first witness found
-        scanning lam ascending, then idempotents ascending.
+        scanning lam ascending, then idempotents ascending.  A field has no
+        zero divisors, so it passes without a scan.
         """
-        if self.kind == RATIONALS:
+        if self.is_field:
             return True, None
         idems = [e for e in self.idempotents() if e != 0]
         for lam in range(1, self.modulus):

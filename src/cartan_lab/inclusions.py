@@ -155,9 +155,11 @@ def classify(ctx: Context, c_basis: Basis | None = None,
         nonzero = [c for c in certs if not c.n.is_zero()]
         dims["normalizers"] = len(nonzero)
 
+        # a span inside C that reaches dim C is C: stop extending it there
         nspan = Basis(ctx)
         for cert in nonzero:
-            nspan.extend(cert.n)
+            if nspan.dim < basis.dim:
+                nspan.extend(cert.n)
         dims["normalizer_span"] = nspan.dim
         flags["regular"] = nspan.key() == basis.key()
         if not flags["regular"]:
@@ -183,7 +185,7 @@ def classify(ctx: Context, c_basis: Basis | None = None,
 
         fspan = Basis(ctx)
         for cert in nonzero:
-            if is_free_normalizer(cert):
+            if fspan.dim < basis.dim and is_free_normalizer(cert):
                 fspan.extend(cert.n)
         dims["free_span"] = fspan.dim
         flags["free_span"] = fspan.key() == basis.key()

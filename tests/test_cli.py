@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from cartan_lab import cli
+from cartan_lab.errors import InternalCheckError
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "cartan_lab" / "corpus"
 
@@ -110,6 +111,33 @@ def test_corpus_isolates_a_malformed_job(tmp_path, capsys):
     summary = json.loads(out)
     assert [row["status"] for row in summary["table"]] == ["pass", "input-error", "pass"]
     assert summary["passed"] == 2
+
+
+def raise_internal(ctx, data, opts):
+    raise InternalCheckError("self-check failed")
+
+
+def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli.RUNNERS, "classify", raise_internal)
+    path = write_ctx(tmp_path, PAIR2_F3)
+    code, out = run_cli(["classify", "--context", path], capsys)
+    assert code == 4
+    rep = json.loads(out)
+    assert rep["error"] == "internal-error"
+    assert rep["message"] == "self-check failed"
+
+
+def test_corpus_isolates_an_internal_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli.RUNNERS, "bimodule", raise_internal)
+    good = {"command": "classify", "context": PAIR2_F3["context"], "expect": "ADP"}
+    bad = {"command": "bimodule", "context": PAIR2_F3["context"], "element": {"0": "1"}}
+    for name, job in (("a.json", good), ("b.json", bad), ("c.json", good)):
+        (tmp_path / name).write_text(json.dumps(job))
+    code, out = run_cli(["corpus", str(tmp_path)], capsys)
+    assert code == 1
+    summary = json.loads(out)
+    assert [row["status"] for row in summary["table"]] == ["pass", "internal-error", "pass"]
+    assert summary["reports"][1]["error"] == "internal-error"
 
 
 def test_guard_exceeded_exits_three(tmp_path, capsys):

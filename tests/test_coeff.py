@@ -62,6 +62,34 @@ def test_wt_fields_pass():
         assert ok and witness is None
 
 
+def scan_wt(ring):
+    """The definition, scanned: the first (lam, e) with lam * e = 0."""
+    idems = [e for e in ring.idempotents() if e != 0]
+    for lam in range(1, ring.modulus):
+        for e in idems:
+            if ring.mul(lam, e) == 0:
+                return False, (lam, e)
+    return True, None
+
+
+def test_wt_agrees_with_the_scan():
+    for m in (2, 3, 5, 7):
+        ring = coeff.Ring(coeff.PRIME_FIELD, m)
+        assert ring.wt_check() == scan_wt(ring) == (True, None)
+    for m in (4, 6, 8, 9, 12):
+        ring = coeff.Ring(coeff.INT_MOD_M, m)
+        assert ring.wt_check() == scan_wt(ring)
+
+
+def test_wt_answers_a_large_field_without_scanning(monkeypatch):
+    def no_scan(self, *args):
+        raise AssertionError("wt_check scanned a field")
+
+    monkeypatch.setattr(coeff.Ring, "idempotents", no_scan)
+    monkeypatch.setattr(coeff.Ring, "mul", no_scan)
+    assert coeff.Ring(coeff.PRIME_FIELD, 1000003).wt_check() == (True, None)
+
+
 def test_coeff_str_roundtrip():
     q = coeff.Ring(coeff.RATIONALS)
     v = Fraction(-3, 7)

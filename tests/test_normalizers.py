@@ -161,6 +161,38 @@ def test_enumeration_guard(pair3_f3):
 
 # -- corner-wise enumeration against the exhaustive scan ----------------------
 
+def _system_rows(ctx, n, rows_of):
+    """Constraint matrix and rhs of n k n = n, offunit(n delta_u k) = 0 and
+    offunit(k delta_u n) = 0, which are linear in k = sum_j x_j rows_of[j]."""
+    g = ctx.groupoid
+    off = np.array(g.off_units(), dtype=np.int64)
+    nv = ctx.vec(n)
+    unit_vecs = [ctx.vec(ctx.delta(u)) for u in g.units()]
+    cols = []
+    for cj in rows_of:
+        cv = ctx.vec(cj)
+        block = [ctx.conv_vec(ctx.conv_vec(nv, cv), nv)]
+        block += [ctx.conv_vec(nv, ctx.conv_vec(uv, cv))[off] for uv in unit_vecs]
+        block += [ctx.conv_vec(ctx.conv_vec(cv, uv), nv)[off] for uv in unit_vecs]
+        cols.append(np.concatenate(block))
+    rhs = np.concatenate([nv, np.zeros(2 * g.n_units * len(off), dtype=nv.dtype)])
+    return np.stack(cols, axis=1), rhs
+
+
+def reference_is_normalizer(ctx, n, basis):
+    """The whole-span partner solve: any solution k0 of the system above
+    completes to the partner k = k0 n k0, which must pass the definition."""
+    if n.is_zero():
+        return nz.NormalizerCert(n, ctx.zero())
+    sol = ctx.solve(*_system_rows(ctx, n, basis.rows))
+    if sol is None:
+        return None
+    k0 = ctx.combination(sol, basis.rows)
+    cert = nz.NormalizerCert(n, k0 * n * k0)
+    assert cert.verify(basis)
+    return cert
+
+
 def reference_normalizers(ctx, basis):
     """The exhaustive scan: every monic element of the span in coordinate
     order, certified one at a time, each followed by its scalings."""
@@ -175,7 +207,7 @@ def reference_normalizers(ctx, basis):
         leading = [c for c in coords(n) if c != r.zero]
         if not leading or leading[0] != r.one:
             continue
-        cert = nz.is_normalizer(ctx, n, basis)
+        cert = reference_is_normalizer(ctx, n, basis)
         if cert is None:
             continue
         certs.append(cert)
@@ -207,6 +239,8 @@ def _oracle_context(name):
         "pair3/F2": lambda: make_context(gpd.pair_groupoid(3), f2),
         "pair3/F3": lambda: make_context(gpd.pair_groupoid(3), f3),
         "z2/F3": lambda: make_context(gpd.from_group(gpd.cyclic_table(2)), f3),
+        "z2/Q": lambda: make_context(gpd.from_group(gpd.cyclic_table(2)),
+                                     coeff.Ring(coeff.RATIONALS)),
         "z3/F5": lambda: make_context(gpd.from_group(gpd.cyclic_table(3)), f5),
         "k2xz2/F3": lambda: make_context(k2xz2, f3),
         "k2xz2/F3 twisted": lambda: Context(k2xz2, f3, k2xz2_bicharacter(k2xz2, f3)),
@@ -216,21 +250,87 @@ def _oracle_context(name):
     }[name]()
 
 
-@pytest.mark.parametrize("name", ["pair3/F2", "pair3/F3", "z2/F3", "z3/F5", "k2xz2/F3",
-                                  "k2xz2/F3 twisted", "klein/F3 twisted",
-                                  "sign_flip(1)/F3", "iso(pair2+pair1,Z3)/F3"])
-def test_enumeration_matches_exhaustive_scan(name):
-    ctx = _oracle_context(name)
+ORACLE_CONTEXTS = ["pair3/F2", "pair3/F3", "z2/F3", "z3/F5", "k2xz2/F3", "k2xz2/F3 twisted",
+                   "klein/F3 twisted", "sign_flip(1)/F3", "iso(pair2+pair1,Z3)/F3"]
+
+
+def _oracle_spans(ctx):
+    """The full algebra and the distinct closures of 5 seeded two-arrow
+    generators."""
     rng = random.Random(41)
     spans = {}
     for c in [full_algebra_basis(ctx)] + [
             algebra_closure(ctx, [ctx.random_element(rng, rng.sample(range(ctx.dim), 2))])
             for _ in range(5)]:
         spans.setdefault(c.key(), c)
-    for c in spans.values():
+    return list(spans.values())
+
+
+@pytest.mark.parametrize("name", ORACLE_CONTEXTS)
+def test_enumeration_matches_exhaustive_scan(name):
+    ctx = _oracle_context(name)
+    for c in _oracle_spans(ctx):
         got = nz.enumerate_normalizers(ctx, c)
         want = reference_normalizers(ctx, c)
         assert [(x.n, x.dagger) for x in got] == [(x.n, x.dagger) for x in want]
+
+
+def _certifier_cases(ctx):
+    """(n, span) pairs: every element of the oracle spans over a finite
+    field, seeded samples of the full algebra over Q."""
+    if ctx.ring.is_finite:
+        return [(n, c) for c in _oracle_spans(ctx) for n in c.elements()]
+    rng = random.Random(43)
+    samples = [ctx.zero(), ctx.delta(1), ctx.delta(0) + ctx.delta(1),
+               ctx.delta(0, Fraction(2)) + ctx.delta(1)]
+    samples += [ctx.random_element(rng) for _ in range(30)]
+    return [(n, full_algebra_basis(ctx)) for n in samples]
+
+
+@pytest.mark.parametrize("name", ["pair3/F2", "z3/F5", "z2/F3", "klein/F3 twisted", "z2/Q"])
+def test_block_certifier_matches_full_system(name):
+    ctx = _oracle_context(name)
+    for n, c in _certifier_cases(ctx):
+        got = nz.is_normalizer(ctx, n, c)
+        want = reference_is_normalizer(ctx, n, c)
+        assert (got is None) == (want is None), n
+        if got is not None:
+            assert got.dagger == want.dagger, n
+
+
+def test_block_certifier_matches_full_system_on_a_bimodule(k2xz2_f3):
+    # C = D + delta_g1 + delta_g2^-1 for parallel arrows g1, g2 is a bimodule
+    # but not an algebra: C_{1,0} is nonzero, yet the closed-form partner of
+    # delta_g1 lies outside it, so delta_g1 is no normalizer in C
+    ctx = k2xz2_f3
+    g = ctx.groupoid
+    g1, g2 = g.arrows_between(0, 1)
+    c = span_closure(ctx, ctx.unit_deltas() + [ctx.delta(g1), ctx.delta(int(g.inv[g2]))])
+    assert nz.is_normalizer(ctx, ctx.delta(g1), c) is None
+    for n in c.elements():
+        got = nz.is_normalizer(ctx, n, c)
+        want = reference_is_normalizer(ctx, n, c)
+        assert (got is None) == (want is None), n
+        if got is not None:
+            assert got.dagger == want.dagger, n
+
+
+def test_is_normalizer_refuses_a_non_bimodule(pair3_f3):
+    gamma = arrow_between(pair3_f3.groupoid, 0, 1)
+    n = pair3_f3.delta(0) + pair3_f3.delta(gamma)
+    with pytest.raises(InputError):
+        nz.is_normalizer(pair3_f3, n, span_closure(pair3_f3, [n]))
+
+
+@pytest.mark.parametrize("name", ORACLE_CONTEXTS)
+def test_free_closed_form_matches_products(name):
+    ctx = _oracle_context(name)
+    d = diagonal_basis(ctx)
+    for c in _oracle_spans(ctx):
+        for cert in nz.enumerate_normalizers(ctx, c):
+            n, k = cert.n, cert.dagger
+            want = d.contains(n) or ((k * n) * (n * k)).is_zero()
+            assert nz.is_free_normalizer(cert) == want, n
 
 
 def test_corner_scan_prefilters_one_candidate_per_corner(pair3_f3, monkeypatch):
