@@ -10,6 +10,7 @@ not bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -107,10 +108,7 @@ def _subalgebra_of(ctx: Context, data: dict) -> Basis | None:
 # each returns (payload_dict, verdict_string_or_None)
 
 def _run_validate(ctx: Context, data: dict, opts: dict):
-    g = ctx.groupoid
-    ok, msg = g.validate()
-    if not ok:
-        raise InputError(f"invalid groupoid: {msg}")
+    g = ctx.groupoid   # every groupoid is validated when it is built
     payload = {
         "valid": True,
         "units": g.n_units,
@@ -165,7 +163,7 @@ def _run_bimodule(ctx: Context, data: dict, opts: dict):
 
 def _run_average(ctx: Context, data: dict, opts: dict):
     f = _element_of(ctx, data)
-    avg, fam = expmod.average_expectation(ctx, f)
+    avg, fam = expmod.average_expectation(ctx, f, guard=opts["guard"])
     payload = {
         "input": f,
         "average": avg,
@@ -308,7 +306,9 @@ def _run_corpus(dirpath: str, opts: dict) -> tuple[dict, int]:
     return summary, code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="cartan-lab",
         description="Exact computations on finite groupoid convolution algebras")

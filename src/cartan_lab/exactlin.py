@@ -15,19 +15,10 @@ from fractions import Fraction
 import numpy as np
 
 
-def inv_table_mod_p(p: int) -> np.ndarray:
-    """Table t with t[a] = a^-1 mod p for a in [1, p); t[0] = 0."""
-    t = np.zeros(p, dtype=np.int64)
-    for a in range(1, p):
-        t[a] = pow(a, p - 2, p)
-    return t
-
-
 def rref_mod_p(mat: np.ndarray, p: int):
     """Reduced row echelon form mod p.  Returns (rref, pivot_columns)."""
     m = np.array(mat, dtype=np.int64) % p
     rows, cols = m.shape
-    inv = inv_table_mod_p(p)
     pivots = []
     r = 0
     for c in range(cols):
@@ -39,7 +30,7 @@ def rref_mod_p(mat: np.ndarray, p: int):
         pr = r + nz[0]
         if pr != r:
             m[[r, pr]] = m[[pr, r]]
-        m[r] = (m[r] * inv[m[r, c]]) % p
+        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
         for rr in range(rows):
             if rr != r and m[rr, c]:
                 m[rr] = (m[rr] - m[rr, c] * m[r]) % p
@@ -82,7 +73,6 @@ def _batch_eliminate_mod_p(m: np.ndarray, p: int, ncols: int) -> np.ndarray:
     in the batch (B, R, C).  Partial pivoting per batch member.  Rows at index
     rank[b] and beyond end up zero in those columns; returns rank."""
     nb, rows, _ = m.shape
-    inv = inv_table_mod_p(p)
     rank = np.zeros(nb, dtype=np.int64)
     rowidx = np.arange(rows)
     maxrank = min(rows, ncols)
@@ -98,7 +88,10 @@ def _batch_eliminate_mod_p(m: np.ndarray, p: int, ncols: int) -> np.ndarray:
         tmp = m[bidx, r0, c:].copy()
         m[bidx, r0, c:] = m[bidx, piv, c:]
         m[bidx, piv, c:] = tmp
-        pivrow = (m[bidx, r0, c:] * inv[m[bidx, r0, c]][:, None]) % p
+        # invert each distinct pivot value once
+        vals, at = np.unique(m[bidx, r0, c], return_inverse=True)
+        invs = np.array([pow(int(v), -1, p) for v in vals], dtype=np.int64)
+        pivrow = (m[bidx, r0, c:] * invs[at][:, None]) % p
         m[bidx, r0, c:] = pivrow
         below = rowidx[None, :] > r0[:, None]
         factors = np.where(below, m[bidx, :, c], 0)

@@ -7,6 +7,16 @@ Averaging u_i * f * u_i over such a family therefore reproduces the
 restriction of f to the unit space, provided the groupoid is principal
 so that a refined bisection decomposition of f exists.
 
+The average has a closed form.  Piece j contributes the sign
+e_j = 1 - 2 [u in T_j], where T_j is its target set, and the members are
+the 2^k products of choices of 1 or e_j, so every member is diagonal and
+
+    sum_m m(t) m(s) = prod_j (1 + e_j(t) e_j(s)).
+
+Hence (1 / 2^k) sum_m m f m keeps f(beta) where every T_j holds both
+r(beta) and s(beta) or neither, and is 0 elsewhere: O(k |supp f|) work
+and no convolution.
+
 With isotropy present no diagonal family can do this: the averaged value
 at an isotropy arrow and at its base unit share the common exact factor
 sum_i u_i(u)^2, so one vanishes exactly when the other does.
@@ -48,7 +58,8 @@ class SignFamily:
         }
 
 
-def sign_family(ctx: Context, bisections, region=None) -> SignFamily:
+def sign_family(ctx: Context, bisections, region=None,
+                guard: int = SCAN_GUARD) -> SignFamily:
     """Build the 2^k cancellation family for the given bisections.
 
     Each input must be a bisection whose target set is disjoint from its
@@ -56,7 +67,8 @@ def sign_family(ctx: Context, bisections, region=None) -> SignFamily:
     simplest valid choice; any superset of the touched units works) and
     every member takes values +1 or -1 there.  The defining property,
     sum_j u_j(r(beta)) u_j(s(beta)) = 0 for every beta in every input
-    bisection, is checked exhaustively before returning.
+    bisection, is checked exhaustively before returning.  GuardExceeded
+    when the 2^k members would exceed the guard.
     """
     r = ctx.ring
     g = ctx.groupoid
@@ -90,6 +102,8 @@ def sign_family(ctx: Context, bisections, region=None) -> SignFamily:
         raise InputError("region must consist of units")
     if not touched <= region:
         raise InputError("region must contain every range and source unit")
+    if 2 ** len(bis) > guard:
+        raise GuardExceeded("sign family members", 2 ** len(bis), guard)
 
     one = ctx.one()
     two = r.normalize(2)
@@ -98,7 +112,9 @@ def sign_family(ctx: Context, bisections, region=None) -> SignFamily:
     for arrows in bis:
         flip = one - ctx.indicator(sorted({int(g.tgt[a]) for a in arrows}), two)
         pair = (one, flip)
-        new = [w * u for w in members for u in pair]
+        # diagonal elements multiply pointwise, since omega(v, v) = 1
+        new = [ctx.element({v: r.mul(c, u.value(v)) for v, c in w.coeffs.items()})
+               for w in members for u in pair]
         scope |= arrows
         # ring identity; asserting it guards the index bookkeeping
         for beta in sorted(scope):
@@ -136,19 +152,21 @@ def sign_family(ctx: Context, bisections, region=None) -> SignFamily:
     return SignFamily(tuple(members), region, tuple(bis))
 
 
-def average_expectation(ctx: Context, f: El, bisections=None):
+def average_expectation(ctx: Context, f: El, bisections=None,
+                        guard: int = SCAN_GUARD):
     """Recover the unit restriction of f by sign-family averaging.
 
     Needs an integral domain of characteristic != 2 (rationals or an odd
     prime field) and a principal groupoid.  The off-unit support of f is
     split into bisections with disjoint ranges and sources (callers may
     supply their own covering; the result does not depend on the choice),
-    the family over those pieces is built, and
+    the family over those pieces is built, and the average
 
         (1 / 2^k) * sum_i u_i * f * u_i
 
-    is returned together with the family.  Equality with the direct
-    restriction is asserted, not assumed.
+    is returned together with the family, in closed form (see the module
+    docstring).  Equality with the direct restriction is asserted, not
+    assumed.  The guard bounds the 2^k members.
     """
     r = ctx.ring
     g = ctx.groupoid
@@ -168,15 +186,11 @@ def average_expectation(ctx: Context, f: El, bisections=None):
     off = ctx.off_unit_part(f)
     if not set(off.coeffs) <= covered:
         raise InputError("supplied bisections do not cover the off-unit support")
-    fam = sign_family(ctx, bisections)
-    k = fam.k
-    inv = r.try_inv(r.normalize(2 ** k))
-    if inv is None:
-        raise InputError(f"2^{k} is not invertible in the coefficient ring")
-    acc = ctx.zero()
-    for u in fam.members:
-        acc = acc + u * f * u
-    avg = acc.scale(inv)
+    fam = sign_family(ctx, bisections, guard=guard)
+    flipped = [{int(g.tgt[a]) for a in arrows} for arrows in fam.bisections]
+    avg = ctx.element({a: v for a, v in f.coeffs.items()
+                       if all((int(g.tgt[a]) in t) == (int(g.src[a]) in t)
+                              for t in flipped)})
     if avg != ctx.delta_expectation(f):
         raise InternalCheckError("averaged element disagrees with the unit restriction")
     return avg, fam

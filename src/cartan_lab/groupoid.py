@@ -13,6 +13,7 @@ import numpy as np
 from cartan_lab.errors import GuardExceeded, InputError
 
 MAX_WIDE_NONUNIT_ARROWS = 24
+ASSOC_BLOCK = 1 << 16   # entries per block of the associativity check
 
 
 @dataclass
@@ -60,7 +61,9 @@ class Groupoid:
 
     def validate(self):
         """Exhaustive axiom check.  Returns (True, None) or (False, message)
-        where the message pins the first violation found."""
+        where the message pins the first violation found, in the order of a
+        scan over a, then b, then c.  Each axiom is one array comparison;
+        associativity goes by blocks of rows a, so memory stays O(n^2)."""
         n = self.num_arrows
         if self.n_units < 1 or self.n_units > n:
             return False, f"unit count {self.n_units} out of range"
@@ -68,51 +71,66 @@ class Groupoid:
             return False, "src/tgt shape mismatch"
         if self.comp.shape != (n, n) or self.inv.shape != (n,):
             return False, "comp/inv shape mismatch"
-        for u in self.units():
-            if self.src[u] != u or self.tgt[u] != u:
-                return False, f"unit {u} must have src = tgt = {u}"
-        for a in range(n):
-            if not (0 <= self.src[a] < self.n_units and 0 <= self.tgt[a] < self.n_units):
-                return False, f"arrow {a} has src/tgt outside the unit range"
-        for a in range(n):
-            for b in range(n):
-                c = self.comp[a, b]
-                defined = self.src[a] == self.tgt[b]
-                if defined and c < 0:
-                    return False, f"composable pair ({a},{b}) has no product"
-                if not defined and c >= 0:
-                    return False, f"non-composable pair ({a},{b}) has a product"
-                if c >= 0:
-                    if not (0 <= c < n):
-                        return False, f"product of ({a},{b}) out of range"
-                    if self.tgt[c] != self.tgt[a] or self.src[c] != self.src[b]:
-                        return False, f"product of ({a},{b}) has wrong endpoints"
-        for a in range(n):
-            if self.comp[self.tgt[a], a] != a:
-                return False, f"left unit law fails at arrow {a}"
-            if self.comp[a, self.src[a]] != a:
-                return False, f"right unit law fails at arrow {a}"
-        for a in range(n):
-            ia = self.inv[a]
+        src, tgt, comp, inv = self.src, self.tgt, self.comp, self.inv
+        nu = self.n_units
+        ids = np.arange(n)
+        bad = (src[:nu] != ids[:nu]) | (tgt[:nu] != ids[:nu])
+        if bad.any():
+            u = _first(bad)
+            return False, f"unit {u} must have src = tgt = {u}"
+        bad = (src < 0) | (src >= nu) | (tgt < 0) | (tgt >= nu)
+        if bad.any():
+            return False, f"arrow {_first(bad)} has src/tgt outside the unit range"
+        # each axiom as one mask; the first flagged entry is then named by
+        # the tests of the scalar scan, in their order
+        defined = src[:, None] == tgt[None, :]
+        has = comp >= 0
+        c = np.where(has & (comp < n), comp, 0)
+        bad = (defined != has) | (has & ((comp >= n) | (tgt[c] != tgt[:, None])
+                                         | (src[c] != src[None, :])))
+        if bad.any():
+            a, b = divmod(_first(bad), n)
+            c = comp[a, b]
+            if c < 0:
+                return False, f"composable pair ({a},{b}) has no product"
+            if not defined[a, b]:
+                return False, f"non-composable pair ({a},{b}) has a product"
+            if c >= n:
+                return False, f"product of ({a},{b}) out of range"
+            return False, f"product of ({a},{b}) has wrong endpoints"
+        left = comp[tgt, ids] != ids
+        bad = left | (comp[ids, src] != ids)
+        if bad.any():
+            a = _first(bad)
+            return False, f"{'left' if left[a] else 'right'} unit law fails at arrow {a}"
+        inside = (inv >= 0) & (inv < n)
+        ic = np.where(inside, inv, 0)
+        bad = (~inside | (inv[ic] != ids) | (src[ic] != tgt) | (tgt[ic] != src)
+               | (comp[ids, ic] != tgt) | (comp[ic, ids] != src))
+        if bad.any():
+            a = _first(bad)
+            ia = inv[a]
             if not (0 <= ia < n):
                 return False, f"inverse of {a} out of range"
-            if self.inv[ia] != a:
+            if inv[ia] != a:
                 return False, f"inverse not involutive at {a}"
-            if self.src[ia] != self.tgt[a] or self.tgt[ia] != self.src[a]:
+            if src[ia] != tgt[a] or tgt[ia] != src[a]:
                 return False, f"inverse of {a} has wrong endpoints"
-            if self.comp[a, ia] != self.tgt[a]:
+            if comp[a, ia] != tgt[a]:
                 return False, f"a . a^-1 is not the unit at tgt({a})"
-            if self.comp[ia, a] != self.src[a]:
-                return False, f"a^-1 . a is not the unit at src({a})"
-        for a in range(n):
-            for b in range(n):
-                if self.comp[a, b] < 0:
-                    continue
-                for c in range(n):
-                    if self.comp[b, c] < 0:
-                        continue
-                    if self.comp[self.comp[a, b], c] != self.comp[a, self.comp[b, c]]:
-                        return False, f"associativity fails on ({a},{b},{c})"
+            return False, f"a^-1 . a is not the unit at src({a})"
+        # associativity, (ab)c against a(bc) over the composable pairs (b, c)
+        # in row-major order, for a block of rows a at a time; a block holds
+        # at most max(n^2, ASSOC_BLOCK) entries
+        bs, cs = np.nonzero(comp >= 0)
+        bc = comp[bs, cs]
+        step = max(1, ASSOC_BLOCK // len(bs))
+        for lo in range(0, n, step):
+            ab = comp[lo:lo + step, bs]
+            bad = (ab >= 0) & (comp[ab, cs] != comp[lo:lo + step][:, bc])
+            if bad.any():
+                i, j = divmod(_first(bad), len(bs))
+                return False, f"associativity fails on ({lo + i},{bs[j]},{cs[j]})"
         return True, None
 
     # -- predicates ----------------------------------------------------------
@@ -243,6 +261,11 @@ class Groupoid:
             "comp": pairs,
             "inv": [int(x) for x in self.inv],
         }
+
+
+def _first(mask: np.ndarray) -> int:
+    """Flat index of the first nonzero entry, in row-major order."""
+    return int(np.flatnonzero(mask)[0])
 
 
 def _finalize(g: Groupoid) -> Groupoid:

@@ -45,18 +45,19 @@ class Context:
         self.label = label or f"{groupoid.label}/{ring}"
         self.dim = groupoid.num_arrows
         self.n_units = groupoid.n_units
-        pairs = groupoid.composable_pairs()
-        self._fact = pairs
-        self._omega = [self.cocycle.omega(a, b) for a, b in pairs]
+        self._fact = groupoid.composable_pairs()
         self.is_fp = ring.kind == coeffmod.PRIME_FIELD
         self._dtype = np.int64 if self.is_fp else object
         if self.is_fp:
             self.p = ring.modulus
-        self._A = np.array([a for a, b in pairs], dtype=np.int64)
-        self._B = np.array([b for a, b in pairs], dtype=np.int64)
-        self._C = np.array([int(groupoid.comp[a, b]) for a, b in pairs],
-                           dtype=np.int64)
-        self._W = np.array(self._omega, dtype=self._dtype)
+        self._A, self._B = np.array(self._fact, dtype=np.int64).T.copy()
+        self._C = groupoid.comp[self._A, self._B]
+        # omega is 1 off the table; scatter the table onto the pair order
+        self._W = np.full(len(self._fact), ring.one, dtype=self._dtype)
+        if self.cocycle.table:
+            keys = self._A * self.dim + self._B   # ascending: pairs are row-major
+            at = np.searchsorted(keys, [a * self.dim + b for a, b in self.cocycle.table])
+            self._W[at] = list(self.cocycle.table.values())
 
     # -- element constructors ------------------------------------------------
 

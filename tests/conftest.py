@@ -31,6 +31,19 @@ def klein_bicharacter(g, ring):
     return twist.Cocycle(g, ring, table)
 
 
+def k2xz2_bicharacter(g, ring):
+    """The Klein bicharacter pulled back to k2xz2: the pair ((a, h.x), (h, x))
+    gets sigma(a, h).  Arrow (a, x) has id x for the identity, 2a + x
+    otherwise."""
+    def aid(a, x):
+        return x if a == 0 else 2 * a + x
+    minus = ring.normalize(-1)
+    table = {(aid(a, K2XZ2_PERMS[h][x]), aid(h, x)): minus
+             for a in range(1, 4) for h in range(1, 4) for x in range(2)
+             if (a & 1) and (h >> 1) & 1}
+    return twist.Cocycle(g, ring, table)
+
+
 @pytest.fixture(scope="session")
 def rings():
     return {

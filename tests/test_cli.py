@@ -162,6 +162,19 @@ def test_obstruct_honours_guard_dim(capsys):
     assert "measured 12 exceeds guard 10" in rep["message"]
 
 
+def test_average_honours_guard_dim(capsys):
+    # pair(3)/F5 with three off-unit arrows in three pieces: 2^3 = 8 members
+    path = str(CORPUS / "16-pair3-f5-average.json")
+    code, out = run_cli(["average", "--context", path, "--guard-dim", "4"], capsys)
+    assert code == 3
+    rep = json.loads(out)
+    assert rep["error"] == "guard-exceeded"
+    assert rep["message"] == "sign family members: measured 8 exceeds guard 4"
+    code, out = run_cli(["average", "--context", path, "--guard-dim", "8"], capsys)
+    assert code == 0
+    assert json.loads(out)["report"]["family"]["size"] == 8
+
+
 def test_classify_with_subalgebra(tmp_path, capsys):
     data = {"context": {
         "groupoid": {"build": {"kind": "cyclic_group", "n": 3}},

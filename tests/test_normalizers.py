@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cartan_lab import coeff, exactlin, twist
+from cartan_lab import coeff, exactlin
 from cartan_lab import groupoid as gpd
 from cartan_lab import normalizers as nz
 from cartan_lab.errors import GuardExceeded, InputError
@@ -13,8 +13,8 @@ from cartan_lab.inclusions import diagonal_basis, subgroupoid_algebra
 from cartan_lab.steinberg import (Context, algebra_closure, corner_bases, full_algebra_basis,
                                   span_closure)
 
-from conftest import (K2XZ2_PERMS, KLEIN_TABLE, arrow_between, klein_bicharacter,
-                      make_context)
+from conftest import (K2XZ2_PERMS, KLEIN_TABLE, arrow_between, k2xz2_bicharacter,
+                      klein_bicharacter, make_context)
 
 
 # -- certificates and daggers ------------------------------------------------
@@ -214,19 +214,6 @@ def reference_normalizers(ctx, basis):
         certs += [nz.NormalizerCert(n.scale(lam), cert.dagger.scale(r.try_inv(lam)))
                   for lam in scalings]
     return certs
-
-
-def k2xz2_bicharacter(g, ring):
-    """The Klein bicharacter pulled back to k2xz2: the pair ((a, h.x), (h, x))
-    gets sigma(a, h).  Arrow (a, x) has id x for the identity, 2a + x
-    otherwise."""
-    def aid(a, x):
-        return x if a == 0 else 2 * a + x
-    minus = ring.normalize(-1)
-    table = {(aid(a, K2XZ2_PERMS[h][x]), aid(h, x)): minus
-             for a in range(1, 4) for h in range(1, 4) for x in range(2)
-             if (a & 1) and (h >> 1) & 1}
-    return twist.Cocycle(g, ring, table)
 
 
 def _oracle_context(name):
@@ -531,3 +518,22 @@ def test_batch_solvable_matches_brute_force():
                     brute = True
                     break
             assert got[i] == brute
+
+
+def test_rref_mod_p_agrees_with_fraction_rref_at_a_large_prime():
+    p = 1000003
+    rng = random.Random(3)
+    for rows, cols in ((4, 6), (6, 4), (5, 5)):
+        mat = [[rng.randint(-50, 50) for _ in range(cols)] for _ in range(rows)]
+        mat[-1] = [x + y for x, y in zip(mat[0], mat[1])]   # rank deficient
+        red, pivots = exactlin.rref_mod_p(np.array(mat), p)
+        ref, ref_pivots = exactlin.rref_frac([[Fraction(x) for x in row] for row in mat])
+        assert pivots == ref_pivots
+        expected = [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in ref]
+        assert red.tolist() == expected
+    # the batched eliminator at the same prime: ranks agree with rref
+    mats = np.array([[[rng.randrange(p) for _ in range(5)] for _ in range(4)]
+                     for _ in range(20)], dtype=np.int64)
+    mats[::3, -1] = (2 * mats[::3, 0]) % p
+    ranks = exactlin._batch_eliminate_mod_p(mats.copy(), p, 5)
+    assert ranks.tolist() == [len(exactlin.rref_mod_p(m, p)[1]) for m in mats]
