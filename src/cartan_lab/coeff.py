@@ -5,6 +5,7 @@ Structural equality equals mathematical equality, so values can be hashed and
 used in span computations directly.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -13,6 +14,14 @@ from cartan_lab.errors import InputError
 RATIONALS = "rationals"
 PRIME_FIELD = "prime_field"
 INT_MOD_M = "int_mod_m"
+
+# F_p contexts keep residues in numpy int64 (steinberg's vectors and
+# convolutions, exactlin's eliminations).  The widest intermediate there is
+# x - c*y with x, c, y in [0, p), at most (p-1)^2 + (p-1) in magnitude; the
+# convolutions reduce mod p after every product, so a per-arrow sum adds at
+# most dim residues, which stays below 2^63 for any dim that fits in memory.
+# This is the largest p with (p-1)^2 + (p-1) <= 2^63 - 1.
+MAX_PRIME_MODULUS = (1 + math.isqrt(4 * (2**63 - 1) + 1)) // 2
 
 
 def _is_prime(n: int) -> bool:
@@ -38,6 +47,9 @@ class Ring:
             if self.modulus is not None:
                 raise InputError("rationals take no modulus")
         elif self.kind == PRIME_FIELD:
+            if self.modulus is not None and self.modulus > MAX_PRIME_MODULUS:
+                raise InputError(f"prime field modulus {self.modulus} exceeds "
+                                 f"{MAX_PRIME_MODULUS}, the int64 backend's bound")
             if self.modulus is None or not _is_prime(self.modulus):
                 raise InputError(f"prime field needs a prime modulus, got {self.modulus}")
         elif self.kind == INT_MOD_M:
@@ -64,7 +76,7 @@ class Ring:
 
     def normalize(self, v):
         if self.kind == RATIONALS:
-            return Fraction(v)
+            return v if type(v) is Fraction else Fraction(v)
         return int(v) % self.modulus
 
     @property

@@ -314,32 +314,19 @@ def cyclic_table(n: int):
 
 
 def pair_groupoid(n: int) -> Groupoid:
-    """Full equivalence relation on n points."""
+    """Full equivalence relation on n points.  Arrow (i, j) goes from j to i;
+    the units (u, u) come first, then the pairs i != j in row-major order."""
     if n < 1:
         raise InputError("pair groupoid needs n >= 1")
-    ids = {}
-    for u in range(n):
-        ids[(u, u)] = u
-    nxt = n
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                ids[(i, j)] = nxt
-                nxt += 1
-    total = nxt
-    src = np.zeros(total, dtype=np.int64)
-    tgt = np.zeros(total, dtype=np.int64)
-    for (i, j), a in ids.items():
-        tgt[a] = i
-        src[a] = j
-    comp = -np.ones((total, total), dtype=np.int64)
-    for (i, j), a in ids.items():
-        for (k, l), b in ids.items():
-            if j == k:
-                comp[a, b] = ids[(i, l)]
-    inv = np.zeros(total, dtype=np.int64)
-    for (i, j), a in ids.items():
-        inv[a] = ids[(j, i)]
+    ids = np.empty((n, n), dtype=np.int64)
+    off = ~np.eye(n, dtype=bool)
+    ids[~off] = np.arange(n)
+    ids[off] = np.arange(n, n * n)
+    tgt, src = np.empty(n * n, dtype=np.int64), np.empty(n * n, dtype=np.int64)
+    tgt[ids], src[ids] = np.indices((n, n))
+    # (i, j).(j, l) = (i, l); every other pair is not composable
+    comp = np.where(src[:, None] == tgt[None, :], ids[tgt[:, None], src[None, :]], -1)
+    inv = ids[src, tgt]
     g = Groupoid(n, src, tgt, comp, inv, label=f"pair({n})")
     return _finalize(g)
 

@@ -33,6 +33,8 @@ class InclusionReport:
     dims: dict
     verdict: str
     notes: list = field(default_factory=list)
+    # the refusal behind a skipped normalizer scan; not part of the report
+    guard_hit: GuardExceeded | None = None
 
     @property
     def quasi_cartan(self) -> bool:
@@ -143,10 +145,12 @@ def classify(ctx: Context, c_basis: Basis | None = None,
             if any(not g.is_unit(a) for a in row.coeffs))
 
     certs = None
+    guard_hit = None
     if r.is_field and r.is_finite:
         try:
             certs = enumerate_normalizers(ctx, basis, guard)
         except GuardExceeded as e:
+            guard_hit = e
             notes.append(f"normalizer scan skipped: {e}")
     else:
         notes.append("normalizer scan skipped: needs a finite field")
@@ -213,7 +217,7 @@ def classify(ctx: Context, c_basis: Basis | None = None,
             verdict = "AQP"
     else:
         verdict = "undetermined"
-    return InclusionReport(ctx, basis, flags, wits, dims, verdict, notes)
+    return InclusionReport(ctx, basis, flags, wits, dims, verdict, notes, guard_hit)
 
 
 # -- the wide-subgroupoid correspondence -------------------------------------
@@ -328,6 +332,8 @@ def galois(ctx: Context, guard: int = SCAN_GUARD) -> LatticeReport:
         if k in algebras:
             return False
         rep = classify(ctx, basis, guard)
+        if rep.guard_hit is not None:
+            raise rep.guard_hit   # an unscanned C is no evidence either way
         if not rep.quasi_cartan:
             return False
         algebras[k] = basis
@@ -460,6 +466,8 @@ def pqc_scan(ctx: Context, guard: int = SCAN_GUARD) -> dict:
     for k in sorted(closures):
         c, gen = closures[k]
         rep = classify(ctx, c, guard)
+        if rep.guard_hit is not None:
+            raise rep.guard_hit
         if rep.verdict == "undetermined":
             raise InternalCheckError("scan hit an undetermined classification")
         if not rep.quasi_cartan:

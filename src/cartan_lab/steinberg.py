@@ -1,17 +1,21 @@
 """Convolution algebras of finite groupoids with a discrete twist.
 
-A Context bundles groupoid + ring + cocycle and precomputes the factorization
-table of the composition: for every product arrow c the list of pairs (a, b)
-with a.b = c, together with omega(a, b).  Convolution is a single scatter-add
-over that table.  Prime-field contexts also expose a batched numpy path used
+A Context bundles groupoid + ring + cocycle.  Sparse convolution
+(Context.convolve) multiplies the supports of its two factors pair by pair
+through the composition table, taking omega(a, b) from the cocycle table (1
+where the pair is missing).  The dense path precomputes the composable pairs
+(a, b), their products and omega(a, b) once, so that conv_vec is a single
+scatter-add over them; prime-field contexts also expose batched versions used
 by the normalizer scan.
 
 Elements are sparse dicts {arrow: coefficient} with zeros purged, so
 structural equality is mathematical equality.  Dense vectors and the exact
 solves behind them are the one place that knows how coefficients are
 stored: numpy int64 residues over F_p, object arrays of Fraction over Q.
+Spans (Basis) and subalgebra closures share one dict kernel for Q and F_p.
 """
 
+import bisect
 import hashlib
 import json
 from dataclasses import dataclass
@@ -25,8 +29,6 @@ from cartan_lab import groupoid as gpd
 from cartan_lab import twist as twistmod
 from cartan_lab.coeff import Ring, parse_ring
 from cartan_lab.errors import InputError, InternalCheckError
-
-CLOSURE_ROUND_SLACK = 1
 
 
 class Context:
@@ -97,7 +99,12 @@ class Context:
 
     def conv_vec(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         out = np.zeros(self.dim, dtype=self._dtype)
-        np.add.at(out, self._C, self._W * f[self._A] * g[self._B])
+        if self.is_fp:
+            # reduce after each product: int64 holds (p-1)^2, not (p-1)^3
+            prod = self._W * f[self._A] % self.p * g[self._B] % self.p
+        else:
+            prod = self._W * f[self._A] * g[self._B]
+        np.add.at(out, self._C, prod)
         return out % self.p if self.is_fp else out
 
     def solve(self, mat, rhs):
@@ -131,21 +138,21 @@ class Context:
     def conv_batch_single(self, F: np.ndarray, g: np.ndarray) -> np.ndarray:
         nb = F.shape[0]
         out = np.zeros((nb, self.dim), dtype=np.int64)
-        prod = F[:, self._A] * (self._W * g[self._B])[None, :] % self.p
+        prod = F[:, self._A] * (self._W * g[self._B] % self.p)[None, :] % self.p
         np.add.at(out, (np.arange(nb)[:, None], self._C[None, :]), prod)
         return out % self.p
 
     def conv_single_batch(self, f: np.ndarray, G: np.ndarray) -> np.ndarray:
         nb = G.shape[0]
         out = np.zeros((nb, self.dim), dtype=np.int64)
-        prod = (self._W * f[self._A])[None, :] * G[:, self._B] % self.p
+        prod = (self._W * f[self._A] % self.p)[None, :] * G[:, self._B] % self.p
         np.add.at(out, (np.arange(nb)[:, None], self._C[None, :]), prod)
         return out % self.p
 
     # -- core operations -----------------------------------------------------
 
     def convolve(self, f: "El", g: "El") -> "El":
-        r = self.ring
+        omega = self.cocycle.table
         out = {}
         comp = self.groupoid.comp
         for a, fa in f.coeffs.items():
@@ -154,10 +161,12 @@ class Context:
                 c = row[b]
                 if c < 0:
                     continue
+                v = fa * gb
+                if omega:
+                    v *= omega.get((a, b), 1)
                 c = int(c)
-                w = self.cocycle.omega(a, b)
-                out[c] = r.add(out.get(c, r.zero), r.mul(w, r.mul(fa, gb)))
-        return El(self, out)
+                out[c] = out.get(c, 0) + v
+        return El(self, out)   # reduces the sums to canonical values
 
     def delta_expectation(self, f: "El") -> "El":
         return El(self, {a: v for a, v in f.coeffs.items()
@@ -228,12 +237,13 @@ class El:
         clean = {}
         for a, v in self.coeffs.items():
             v = r.normalize(v)
-            if v != r.zero:
+            if v:
                 clean[int(a)] = v
         object.__setattr__(self, "coeffs", clean)
 
     def value(self, arrow: int):
-        return self.coeffs.get(int(arrow), self.ctx.ring.zero)
+        v = self.coeffs.get(int(arrow))
+        return self.ctx.ring.zero if v is None else v
 
     def support(self) -> frozenset:
         return frozenset(self.coeffs)
@@ -292,11 +302,31 @@ def el_from_json(ctx: Context, data: dict) -> El:
     return El(ctx, out)
 
 
-class Basis:
-    """Echelon basis of a subspace, ordered by leading arrow id.
+def _subtract_multiple(cur: dict, c, row: dict, p) -> None:
+    """cur -= c * row in place, for canonical field values (p None over Q).
+    Canonical values are zero exactly when falsy, and a sum can only vanish
+    at an arrow cur already holds, so zeros are purged as they appear."""
+    for a, v in row.items():
+        x = cur.get(a, 0) - c * v
+        if p:
+            x %= p
+        if x:
+            cur[a] = x
+        else:
+            del cur[a]
 
-    Field coefficients only.  Each vector has leading coefficient 1 at its
-    pivot arrow, and pivot arrows are strictly increasing.
+
+class Basis:
+    """Reduced row echelon basis of a subspace of A, ordered by pivot arrow.
+
+    Field coefficients only.  rows[i] has coefficient 1 at its pivot arrow
+    pivots[i] and 0 at every other pivot, and pivots strictly increase.  The
+    reduced echelon basis of a span is unique, so key() identifies the span,
+    whatever order its vectors arrived in.
+
+    One kernel serves Q and F_p: reduce, contains and extend eliminate on a
+    single coefficient dict in place, in the ring's canonical values
+    (Fraction, or a residue in [0, p)).
     """
 
     def __init__(self, ctx: Context):
@@ -310,39 +340,43 @@ class Basis:
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, el: El) -> El:
-        r = self.ctx.ring
-        cur = el
+    def _residue(self, coeffs: dict) -> dict:
+        """coeffs minus its component in the span, as a new dict.  The rows
+        vanish at each other's pivots, so one subtraction per pivot clears it,
+        in any order."""
+        p = self.ctx.ring.modulus
+        cur = dict(coeffs)
         for piv, row in zip(self.pivots, self.rows):
-            c = cur.value(piv)
-            if c != r.zero:
-                cur = cur - row.scale(c)
+            c = cur.get(piv)
+            if c:
+                _subtract_multiple(cur, c, row.coeffs, p)
         return cur
 
+    def reduce(self, el: El) -> El:
+        return El(self.ctx, self._residue(el.coeffs))
+
     def contains(self, el: El) -> bool:
-        return self.reduce(el).is_zero()
+        return not self._residue(el.coeffs)
 
     def extend(self, el: El) -> bool:
         """Add el to the span; returns True when the dimension grew."""
-        r = self.ctx.ring
-        res = self.reduce(el)
-        if res.is_zero():
+        res = self.reduce(el).coeffs
+        if not res:
             return False
-        piv = min(res.coeffs)
-        lead = res.value(piv)
-        res = res.scale(r.try_inv(lead))
-        # re-reduce existing rows against the new one to keep RREF
-        idx = 0
-        while idx < len(self.pivots) and self.pivots[idx] < piv:
-            idx += 1
+        piv = min(res)
+        lead = self.ctx.ring.try_inv(res[piv])
+        new = El(self.ctx, {a: lead * v for a, v in res.items()})
+        # clear the new pivot from the other rows to keep the basis reduced
+        p = self.ctx.ring.modulus
+        for i, row in enumerate(self.rows):
+            c = row.coeffs.get(piv)
+            if c:
+                cur = dict(row.coeffs)
+                _subtract_multiple(cur, c, new.coeffs, p)
+                self.rows[i] = El(self.ctx, cur)
+        idx = bisect.bisect(self.pivots, piv)
         self.pivots.insert(idx, piv)
-        self.rows.insert(idx, res)
-        for i in range(len(self.rows)):
-            if i == idx:
-                continue
-            c = self.rows[i].value(piv)
-            if c != r.zero:
-                self.rows[i] = self.rows[i] - res.scale(c)
+        self.rows.insert(idx, new)
         return True
 
     def elements(self):
@@ -422,25 +456,30 @@ def intersect_spans(b1: Basis, b2: Basis) -> Basis:
 
 def algebra_closure(ctx: Context, generators, include_units: bool = True) -> Basis:
     """Smallest subalgebra span containing the generators (and the unit
-    indicators unless told otherwise).  Rounds are capped at dim(A) plus slack;
-    exceeding the cap means a bug, not bad input."""
+    indicators unless told otherwise).
+
+    Semi-naive evaluation: found lists, in order, the elements that grew the
+    span, and they span it.  Each is multiplied once on each side with every
+    earlier one, and once with itself; a product that grows the span joins
+    the list.  When the list is exhausted, every product of two spanning
+    elements lies in the span, so by bilinearity the span is closed under
+    multiplication.  Every entry grew the span, so at most dim A entries are
+    ever made, and the loop ends.  A span of dimension dim A is A, closed
+    already, so the loop stops there.
+    """
     seed = list(generators)
     if include_units:
         seed = ctx.unit_deltas() + seed
-    basis = span_closure(ctx, seed)
-    cap = ctx.dim + CLOSURE_ROUND_SLACK
-    rounds = 0
-    changed = True
-    while changed:
-        changed = False
-        rounds += 1
-        if rounds > cap:
-            raise InternalCheckError("algebra closure failed to stabilize")
-        snapshot = list(basis.rows)
-        for f in snapshot:
-            for g in snapshot:
-                if basis.extend(ctx.convolve(f, g)):
-                    changed = True
+    basis = Basis(ctx)
+    found = [el for el in seed if basis.extend(el)]
+    done = 0
+    while done < len(found) and basis.dim < ctx.dim:
+        x = found[done]
+        done += 1
+        for y in found[:done]:
+            for prod in (x * y,) if y is x else (x * y, y * x):
+                if basis.extend(prod):
+                    found.append(prod)
     return basis
 
 

@@ -44,6 +44,34 @@ def k2xz2_bicharacter(g, ring):
     return twist.Cocycle(g, ring, table)
 
 
+def oracle_context(name):
+    """The small contexts the fast paths are checked against brute force on."""
+    f2, f3, f5 = (coeff.Ring(coeff.PRIME_FIELD, p) for p in (2, 3, 5))
+    q = coeff.Ring(coeff.RATIONALS)
+    k2xz2 = gpd.from_action(KLEIN_TABLE, K2XZ2_PERMS, label="k2xz2")
+    klein = gpd.from_group(KLEIN_TABLE)
+    iso = gpd.attach_isotropy(gpd.disjoint_union([gpd.pair_groupoid(2), gpd.pair_groupoid(1)]),
+                              2, gpd.cyclic_table(3))
+    return {
+        "pair3/F2": lambda: make_context(gpd.pair_groupoid(3), f2),
+        "pair3/F3": lambda: make_context(gpd.pair_groupoid(3), f3),
+        "z2/F3": lambda: make_context(gpd.from_group(gpd.cyclic_table(2)), f3),
+        "z2/Q": lambda: make_context(gpd.from_group(gpd.cyclic_table(2)), q),
+        "pair(4)/Q": lambda: make_context(gpd.pair_groupoid(4), q),
+        "sign_flip(2)/Q": lambda: make_context(gpd.sign_flip_groupoid(2), q),
+        "z3/F5": lambda: make_context(gpd.from_group(gpd.cyclic_table(3)), f5),
+        "k2xz2/F3": lambda: make_context(k2xz2, f3),
+        "k2xz2/F3 twisted": lambda: Context(k2xz2, f3, k2xz2_bicharacter(k2xz2, f3)),
+        "klein/F3 twisted": lambda: Context(klein, f3, klein_bicharacter(klein, f3)),
+        "sign_flip(1)/F3": lambda: make_context(gpd.sign_flip_groupoid(1), f3),
+        "iso(pair2+pair1,Z3)/F3": lambda: make_context(iso, f3),
+    }[name]()
+
+
+ORACLE_CONTEXTS = ["pair3/F2", "pair3/F3", "z2/F3", "z3/F5", "k2xz2/F3", "k2xz2/F3 twisted",
+                   "klein/F3 twisted", "sign_flip(1)/F3", "iso(pair2+pair1,Z3)/F3"]
+
+
 @pytest.fixture(scope="session")
 def rings():
     return {

@@ -152,6 +152,28 @@ def test_guard_exceeded_exits_three(tmp_path, capsys):
     assert "exceeds guard 5" in rep["message"]
 
 
+@pytest.mark.parametrize("command", ["galois", "pqc-scan"])
+def test_guard_skipped_classification_exits_three(capsys, command):
+    # pair(3)/F2: the 2^6 generators pass a guard of 100, but classifying
+    # some closure needs 2^7 normalizer candidates
+    path = str(CORPUS / "04-pair3-f2-galois.json")
+    code, out = run_cli([command, "--context", path, "--guard-dim", "100"], capsys)
+    assert code == 3
+    rep = json.loads(out)
+    assert rep["error"] == "guard-exceeded"
+    assert rep["message"] == "normalizer scan candidates: measured 128 exceeds guard 100"
+
+
+def test_prime_field_past_the_int64_bound_exits_two(tmp_path, capsys):
+    data = {"context": {"groupoid": {"build": {"kind": "pair", "n": 2}},
+                        "ring": "F2305843009213693951", "cocycle": None}}
+    code, out = run_cli(["validate", "--context", write_ctx(tmp_path, data)], capsys)
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["error"] == "input-error"
+    assert "exceeds 3037000500" in rep["message"]
+
+
 def test_obstruct_honours_guard_dim(capsys):
     # Z2/F3 with one unit: 3 + 3^2 = 12 diagonal families of size <= 2
     path = str(CORPUS / "18-z2-f3-obstruct.json")

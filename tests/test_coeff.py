@@ -90,6 +90,23 @@ def test_wt_answers_a_large_field_without_scanning(monkeypatch):
     assert coeff.Ring(coeff.PRIME_FIELD, 1000003).wt_check() == (True, None)
 
 
+def test_prime_modulus_bound_is_the_int64_one():
+    # the widest int64 intermediate over F_p is x - c*y with x, c, y < p
+    p = coeff.MAX_PRIME_MODULUS
+    assert (p - 1) ** 2 + (p - 1) <= 2**63 - 1 < p ** 2 + p
+
+
+def test_parse_ring_refuses_a_field_past_the_bound_before_testing_primality(monkeypatch):
+    def no_trial_division(n):
+        raise AssertionError(f"primality of {n} tested past the bound")
+
+    monkeypatch.setattr(coeff, "_is_prime", no_trial_division)
+    with pytest.raises(InputError, match="exceeds 3037000500"):
+        coeff.parse_ring("F2305843009213693951")
+    with pytest.raises(InputError, match="exceeds"):
+        coeff.parse_ring(f"F{coeff.MAX_PRIME_MODULUS + 1}")
+
+
 def test_coeff_str_roundtrip():
     q = coeff.Ring(coeff.RATIONALS)
     v = Fraction(-3, 7)

@@ -159,6 +159,36 @@ def test_json_roundtrip_explicit_tables():
     assert np.array_equal(h.inv, g.inv)
 
 
+def loop_pair_groupoid(n):
+    """The pair groupoid built entry by entry: units (u, u) first, then the
+    pairs (i, j) with i != j in row-major order."""
+    ids = {(u, u): u for u in range(n)}
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                ids[(i, j)] = len(ids)
+    total = len(ids)
+    src = np.zeros(total, dtype=np.int64)
+    tgt = np.zeros(total, dtype=np.int64)
+    comp = -np.ones((total, total), dtype=np.int64)
+    inv = np.zeros(total, dtype=np.int64)
+    for (i, j), a in ids.items():
+        tgt[a], src[a], inv[a] = i, j, ids[(j, i)]
+        for (k, l), b in ids.items():
+            if j == k:
+                comp[a, b] = ids[(i, l)]
+    return src, tgt, comp, inv
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pair_groupoid_matches_the_loop_builder(n):
+    g = gpd.pair_groupoid(n)
+    assert g.n_units == n
+    for got, want in zip((g.src, g.tgt, g.comp, g.inv), loop_pair_groupoid(n)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 def test_json_roundtrip_build_spec():
     g = gpd.build_from_json({"kind": "pair", "n": 3})
     data = g.to_json()

@@ -13,8 +13,8 @@ from cartan_lab.inclusions import diagonal_basis, subgroupoid_algebra
 from cartan_lab.steinberg import (Context, algebra_closure, corner_bases, full_algebra_basis,
                                   span_closure)
 
-from conftest import (K2XZ2_PERMS, KLEIN_TABLE, arrow_between, k2xz2_bicharacter,
-                      klein_bicharacter, make_context)
+from conftest import (KLEIN_TABLE, ORACLE_CONTEXTS, arrow_between, klein_bicharacter,
+                      make_context, oracle_context)
 
 
 # -- certificates and daggers ------------------------------------------------
@@ -216,31 +216,6 @@ def reference_normalizers(ctx, basis):
     return certs
 
 
-def _oracle_context(name):
-    f2, f3, f5 = (coeff.Ring(coeff.PRIME_FIELD, p) for p in (2, 3, 5))
-    k2xz2 = gpd.from_action(KLEIN_TABLE, K2XZ2_PERMS, label="k2xz2")
-    klein = gpd.from_group(KLEIN_TABLE)
-    iso = gpd.attach_isotropy(gpd.disjoint_union([gpd.pair_groupoid(2), gpd.pair_groupoid(1)]),
-                              2, gpd.cyclic_table(3))
-    return {
-        "pair3/F2": lambda: make_context(gpd.pair_groupoid(3), f2),
-        "pair3/F3": lambda: make_context(gpd.pair_groupoid(3), f3),
-        "z2/F3": lambda: make_context(gpd.from_group(gpd.cyclic_table(2)), f3),
-        "z2/Q": lambda: make_context(gpd.from_group(gpd.cyclic_table(2)),
-                                     coeff.Ring(coeff.RATIONALS)),
-        "z3/F5": lambda: make_context(gpd.from_group(gpd.cyclic_table(3)), f5),
-        "k2xz2/F3": lambda: make_context(k2xz2, f3),
-        "k2xz2/F3 twisted": lambda: Context(k2xz2, f3, k2xz2_bicharacter(k2xz2, f3)),
-        "klein/F3 twisted": lambda: Context(klein, f3, klein_bicharacter(klein, f3)),
-        "sign_flip(1)/F3": lambda: make_context(gpd.sign_flip_groupoid(1), f3),
-        "iso(pair2+pair1,Z3)/F3": lambda: make_context(iso, f3),
-    }[name]()
-
-
-ORACLE_CONTEXTS = ["pair3/F2", "pair3/F3", "z2/F3", "z3/F5", "k2xz2/F3", "k2xz2/F3 twisted",
-                   "klein/F3 twisted", "sign_flip(1)/F3", "iso(pair2+pair1,Z3)/F3"]
-
-
 def _oracle_spans(ctx):
     """The full algebra and the distinct closures of 5 seeded two-arrow
     generators."""
@@ -255,7 +230,7 @@ def _oracle_spans(ctx):
 
 @pytest.mark.parametrize("name", ORACLE_CONTEXTS)
 def test_enumeration_matches_exhaustive_scan(name):
-    ctx = _oracle_context(name)
+    ctx = oracle_context(name)
     for c in _oracle_spans(ctx):
         got = nz.enumerate_normalizers(ctx, c)
         want = reference_normalizers(ctx, c)
@@ -276,7 +251,7 @@ def _certifier_cases(ctx):
 
 @pytest.mark.parametrize("name", ["pair3/F2", "z3/F5", "z2/F3", "klein/F3 twisted", "z2/Q"])
 def test_block_certifier_matches_full_system(name):
-    ctx = _oracle_context(name)
+    ctx = oracle_context(name)
     for n, c in _certifier_cases(ctx):
         got = nz.is_normalizer(ctx, n, c)
         want = reference_is_normalizer(ctx, n, c)
@@ -311,7 +286,7 @@ def test_is_normalizer_refuses_a_non_bimodule(pair3_f3):
 
 @pytest.mark.parametrize("name", ORACLE_CONTEXTS)
 def test_free_closed_form_matches_products(name):
-    ctx = _oracle_context(name)
+    ctx = oracle_context(name)
     d = diagonal_basis(ctx)
     for c in _oracle_spans(ctx):
         for cert in nz.enumerate_normalizers(ctx, c):

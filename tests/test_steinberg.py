@@ -1,16 +1,19 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cartan_lab import coeff, twist
 from cartan_lab import groupoid as gpd
-from cartan_lab.errors import InputError
+from cartan_lab.errors import InputError, InternalCheckError
 from cartan_lab.steinberg import (Basis, Context, algebra_closure, context_from_json,
-                                  decompose_bisections, el_from_json, intersect_spans,
-                                  is_bisection, span_closure)
+                                  decompose_bisections, el_from_json, full_algebra_basis,
+                                  intersect_spans, is_bisection, span_closure)
 
-from conftest import KLEIN_TABLE, klein_bicharacter, make_context
+from conftest import (KLEIN_TABLE, ORACLE_CONTEXTS, klein_bicharacter, make_context,
+                      oracle_context)
 
 
 def test_convolution_associative_on_all_basis_triples(pair3_f3):
@@ -83,6 +86,45 @@ def test_vec_bridge_matches_sparse_convolution(pair3_f3):
         assert via_vec == direct
 
 
+@pytest.mark.parametrize("name", ["klein/F3 twisted", "k2xz2/F3 twisted"])
+def test_vec_bridge_matches_twisted_convolution(name):
+    ctx = oracle_context(name)
+    rng = random.Random(13)
+    for _ in range(20):
+        f, g_ = ctx.random_element(rng), ctx.random_element(rng)
+        assert ctx.el_of_vec(ctx.conv_vec(ctx.vec(f), ctx.vec(g_))) == ctx.convolve(f, g_)
+
+
+def _largest_allowed_prime():
+    return next(q for q in range(coeff.MAX_PRIME_MODULUS, 1, -1) if coeff._is_prime(q))
+
+
+@pytest.fixture(scope="module")
+def widest_contexts():
+    """pair(3) and the twisted Klein group over the largest allowed prime,
+    where residues and omega = -1 = p - 1 reach the int64 bound."""
+    r = coeff.Ring(coeff.PRIME_FIELD, _largest_allowed_prime())
+    klein = gpd.from_group(KLEIN_TABLE)
+    return [make_context(gpd.pair_groupoid(3), r), Context(klein, r, klein_bicharacter(klein, r))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_int64_paths_match_the_dict_path_at_the_largest_prime(widest_contexts, data):
+    for ctx in widest_contexts:
+        p = ctx.p
+        residue = st.sampled_from([0, 1, p - 2, p - 1]) | st.integers(0, p - 1)
+        rows = st.lists(residue, min_size=ctx.dim, max_size=ctx.dim)
+        F = np.array(data.draw(st.lists(rows, min_size=2, max_size=2)), dtype=np.int64)
+        G = np.array(data.draw(st.lists(rows, min_size=2, max_size=2)), dtype=np.int64)
+        want = np.stack([ctx.vec(ctx.convolve(ctx.el_of_vec(f), ctx.el_of_vec(g_)))
+                         for f, g_ in zip(F, G)])
+        assert np.array_equal(np.stack([ctx.conv_vec(f, g_) for f, g_ in zip(F, G)]), want)
+        assert np.array_equal(ctx.conv_batch(F, G), want)
+        assert np.array_equal(ctx.conv_batch_single(F, G[0])[0], want[0])
+        assert np.array_equal(ctx.conv_single_batch(F[0], G)[0], want[0])
+
+
 def test_decompose_bisections_pieces_are_bisections(z3_f5):
     ctx = z3_f5
     rng = random.Random(17)
@@ -139,6 +181,70 @@ def test_algebra_closure_is_idempotent_and_contains_units(pair3_f3):
         for x in c.rows:
             for y in c.rows:
                 assert c.contains(x * y)
+
+
+# -- the span kernel against the El-arithmetic kernel it replaced -------------
+
+class OracleBasis(Basis):
+    """Echelon basis kept with El arithmetic, one new El per pivot step."""
+
+    def reduce(self, el):
+        r = self.ctx.ring
+        cur = el
+        for piv, row in zip(self.pivots, self.rows):
+            c = cur.value(piv)
+            if c != r.zero:
+                cur = cur - row.scale(c)
+        return cur
+
+    def extend(self, el):
+        r = self.ctx.ring
+        res = self.reduce(el)
+        if res.is_zero():
+            return False
+        piv = min(res.coeffs)
+        res = res.scale(r.try_inv(res.value(piv)))
+        idx = 0
+        while idx < len(self.pivots) and self.pivots[idx] < piv:
+            idx += 1
+        self.pivots.insert(idx, piv)
+        self.rows.insert(idx, res)
+        for i in range(len(self.rows)):
+            if i != idx and self.rows[i].value(piv) != r.zero:
+                self.rows[i] = self.rows[i] - res.scale(self.rows[i].value(piv))
+        return True
+
+
+def oracle_closure(ctx, generators):
+    """The round-based closure: multiply the whole basis by itself until a
+    round adds nothing, at most dim A + 1 rounds."""
+    basis = OracleBasis(ctx)
+    for el in ctx.unit_deltas() + list(generators):
+        basis.extend(el)
+    for _ in range(ctx.dim + 1):
+        snapshot = list(basis.rows)
+        grew = [basis.extend(f * g_) for f in snapshot for g_ in snapshot]
+        if not any(grew):
+            return basis
+    raise InternalCheckError("oracle closure failed to stabilize")
+
+
+@pytest.mark.parametrize("name", ORACLE_CONTEXTS + ["pair(4)/Q", "sign_flip(2)/Q"])
+def test_span_kernel_matches_the_el_oracle(name):
+    ctx = oracle_context(name)
+    rng = random.Random(47)
+    cases = [(full_algebra_basis(ctx), oracle_closure(ctx, ctx.basis_deltas()))]
+    for _ in range(5):
+        sizes = [min(ctx.dim, rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
+        gens = [ctx.random_element(rng, rng.sample(range(ctx.dim), k)) for k in sizes]
+        cases.append((algebra_closure(ctx, gens), oracle_closure(ctx, gens)))
+    for got, want in cases:
+        assert got.pivots == want.pivots
+        assert got.key() == want.key()
+        for _ in range(5):
+            el = ctx.random_element(rng)
+            assert got.reduce(el) == want.reduce(el)
+            assert got.contains(el) == want.reduce(el).is_zero()
 
 
 def test_basis_reduce_and_extend(pair3_f3):
