@@ -44,9 +44,9 @@ class Groupoid:
     def composable(self, a: int, b: int) -> bool:
         return self.comp[a, b] >= 0
 
-    def composable_pairs(self):
-        pairs = np.argwhere(self.comp >= 0)
-        return [(int(a), int(b)) for a, b in pairs]
+    def composable_pairs(self) -> np.ndarray:
+        """The composable pairs (a, b) as rows of a (k, 2) array, row-major."""
+        return np.argwhere(self.comp >= 0)
 
     def arrows_between(self, v: int, w: int):
         """All arrows with tgt v and src w (the set vGw)."""
@@ -252,13 +252,12 @@ class Groupoid:
     def to_json(self) -> dict:
         if self.build_json is not None:
             return {"build": self.build_json}
-        pairs = [[int(a), int(b), int(self.comp[a, b])]
-                 for a, b in self.composable_pairs()]
+        pairs = self.composable_pairs()
         return {
             "units": self.n_units,
             "arrows": [{"id": a, "src": int(self.src[a]), "tgt": int(self.tgt[a])}
                        for a in range(self.num_arrows)],
-            "comp": pairs,
+            "comp": np.column_stack((pairs, self.comp[pairs[:, 0], pairs[:, 1]])).tolist(),
             "inv": [int(x) for x in self.inv],
         }
 

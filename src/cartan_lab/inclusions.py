@@ -33,8 +33,6 @@ class InclusionReport:
     dims: dict
     verdict: str
     notes: list = field(default_factory=list)
-    # the refusal behind a skipped normalizer scan; not part of the report
-    guard_hit: GuardExceeded | None = None
 
     @property
     def quasi_cartan(self) -> bool:
@@ -109,7 +107,8 @@ def classify(ctx: Context, c_basis: Basis | None = None,
 
     Flags that need the normalizer enumeration are marked None (skipped) over
     rings where the scan cannot run; the verdict is then "undetermined" unless
-    an already-computed flag settles it.
+    an already-computed flag settles it.  A scan past the guard is refused
+    with GuardExceeded, not skipped: an unscanned C settles no verdict.
     """
     r = ctx.ring
     g = ctx.groupoid
@@ -145,13 +144,8 @@ def classify(ctx: Context, c_basis: Basis | None = None,
             if any(not g.is_unit(a) for a in row.coeffs))
 
     certs = None
-    guard_hit = None
-    if r.is_field and r.is_finite:
-        try:
-            certs = enumerate_normalizers(ctx, basis, guard)
-        except GuardExceeded as e:
-            guard_hit = e
-            notes.append(f"normalizer scan skipped: {e}")
+    if r.is_finite:
+        certs = enumerate_normalizers(ctx, basis, guard)
     else:
         notes.append("normalizer scan skipped: needs a finite field")
 
@@ -217,7 +211,7 @@ def classify(ctx: Context, c_basis: Basis | None = None,
             verdict = "AQP"
     else:
         verdict = "undetermined"
-    return InclusionReport(ctx, basis, flags, wits, dims, verdict, notes, guard_hit)
+    return InclusionReport(ctx, basis, flags, wits, dims, verdict, notes)
 
 
 # -- the wide-subgroupoid correspondence -------------------------------------
@@ -332,8 +326,6 @@ def galois(ctx: Context, guard: int = SCAN_GUARD) -> LatticeReport:
         if k in algebras:
             return False
         rep = classify(ctx, basis, guard)
-        if rep.guard_hit is not None:
-            raise rep.guard_hit   # an unscanned C is no evidence either way
         if not rep.quasi_cartan:
             return False
         algebras[k] = basis
@@ -466,8 +458,6 @@ def pqc_scan(ctx: Context, guard: int = SCAN_GUARD) -> dict:
     for k in sorted(closures):
         c, gen = closures[k]
         rep = classify(ctx, c, guard)
-        if rep.guard_hit is not None:
-            raise rep.guard_hit
         if rep.verdict == "undetermined":
             raise InternalCheckError("scan hit an undetermined classification")
         if not rep.quasi_cartan:

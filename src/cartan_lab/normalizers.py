@@ -23,6 +23,18 @@ of the source and target units of supp n, which gives freeness in closed
 form.  Enumeration scans only the corners, and the sums are assembled
 without a further solve.
 
+The blocks also give the order n <= m, n = m 1_S for a set S of units, that
+reconstruction reads ultrafilters from: right multiplication by 1_S keeps the
+blocks of m at the units of S and drops the rest, so n <= m exactly when
+every block of n is a block of m.  Each block of a normalizer is itself a
+normalizer of the span (D <= C), so a nonzero normalizer is minimal exactly
+when it has one block, and for a minimal x with source unit w, up(x) is the
+set of normalizers whose block at w is x.  up(x) is then an ultrafilter: a
+strictly larger proper filter would need a nonzero common lower bound of x
+and an element outside up(x), and the only nonzero element below x is x.
+UltraStructure indexes the normalizers by their blocks once and reads the
+minimal elements and up-sets off that index, with no pairwise comparison.
+
 Order contract of enumerate_normalizers (classify reports the first blocking
 normalizer as a witness, so the order shows in reports): zero first, then
 each monic normalizer (first nonzero coordinate 1) in lexicographic order of
@@ -52,22 +64,6 @@ class NormalizerCert:
 
     n: El
     dagger: El
-
-    def verify(self, c_basis: Basis | None = None) -> bool:
-        n, k = self.n, self.dagger
-        ctx = n.ctx
-        if not (n * k * n == n and k * n * k == k):
-            return False
-        for u in ctx.groupoid.units():
-            du = ctx.delta(u)
-            if not ctx.off_unit_part(n * du * k).is_zero():
-                return False
-            if not ctx.off_unit_part(k * du * n).is_zero():
-                return False
-        if c_basis is not None:
-            if not (c_basis.contains(n) and c_basis.contains(k)):
-                return False
-        return True
 
 
 def dagger_closed_form(ctx: Context, n: El) -> El | None:
@@ -133,23 +129,6 @@ def is_normalizer(ctx: Context, n: El, c_basis: Basis | None = None):
             raise InternalCheckError(f"block partner fails at the corner {(v, w)}")
         dagger.update(y.coeffs)
     return NormalizerCert(n, El(ctx, dagger))
-
-
-def exhaustive_partners(ctx: Context, n: El, c_basis: Basis | None = None,
-                        guard: int = 200_000):
-    """All k in the span satisfying the full definition verbatim.  Brute force;
-    used to cross-check partner uniqueness on tiny contexts."""
-    if not ctx.ring.is_finite:
-        raise InputError("exhaustive partner scan needs a finite ring")
-    basis = c_basis if c_basis is not None else full_algebra_basis(ctx)
-    count = len(ctx.ring.elements()) ** basis.dim
-    if count > guard:
-        raise GuardExceeded("exhaustive partner scan", count, guard)
-    out = []
-    for k in basis.elements():
-        if NormalizerCert(n, k).verify():
-            out.append(k)
-    return out
 
 
 # -- enumeration -------------------------------------------------------------
@@ -297,33 +276,22 @@ def is_free_normalizer(cert: NormalizerCert) -> bool:
             or {int(g.src[a]) for a in arrows}.isdisjoint(int(g.tgt[a]) for a in arrows))
 
 
-def leq(n: El, m: El) -> bool:
-    """n <= m in the normalizer order: n = m . 1_S for some unit set S.
-    Equivalently n agrees with m on its support and that support is a union
-    of source fibers of supp(m)."""
-    ctx = n.ctx
-    g = ctx.groupoid
-    for a, v in n.coeffs.items():
-        if m.value(a) != v:
-            return False
-    srcs = {int(g.src[a]) for a in n.coeffs}
-    for a in m.coeffs:
-        if int(g.src[a]) in srcs and a not in n.coeffs:
-            return False
-    return True
-
-
-def restriction(m: El, unit_set) -> El:
-    g = m.ctx.groupoid
-    s = set(unit_set)
-    return El(m.ctx, {a: v for a, v in m.coeffs.items() if int(g.src[a]) in s})
+def _blocks(n: El) -> list:
+    """n split by source unit: the blocks n delta_w, one per source unit w of
+    supp n."""
+    g = n.ctx.groupoid
+    parts: dict = {}
+    for a, c in n.coeffs.items():
+        parts.setdefault(int(g.src[a]), {})[a] = c
+    return [El(n.ctx, coeffs) for coeffs in parts.values()]
 
 
 # -- ultrafilters and reconstruction -----------------------------------------
 
 class UltraStructure:
-    """The inverse-semigroup order on the nonzero normalizers of one span,
-    with ultrafilters represented by their minimal elements."""
+    """The nonzero normalizers of one span under the inverse-semigroup order,
+    with ultrafilters represented by their minimal elements, read off the
+    blocks as in the module docstring."""
 
     def __init__(self, ctx: Context, c_basis: Basis | None = None,
                  guard: int = SCAN_GUARD):
@@ -332,85 +300,38 @@ class UltraStructure:
         self.dagger_of = {cert.n: cert.dagger for cert in self.certs}
         self.nonzero = sorted((c.n for c in self.certs if not c.n.is_zero()),
                               key=lambda e: e.key())
-        self._up_cache: dict = {}
-        self.minimals = [n for n in self.nonzero if self._is_minimal(n)]
-
-    def _is_minimal(self, n: El) -> bool:
-        return not any(leq(m, n) and m != n for m in self.nonzero)
+        blocks = {n: _blocks(n) for n in self.nonzero}
+        ups: dict = {}
+        for n, xs in blocks.items():
+            for x in xs:
+                ups.setdefault(x, set()).add(n)
+        self._ups = {x: frozenset(members) for x, members in ups.items()}
+        self.minimals = [n for n in self.nonzero if len(blocks[n]) == 1]
 
     def up_set(self, n: El) -> frozenset:
-        if n not in self._up_cache:
-            self._up_cache[n] = frozenset(m for m in self.nonzero if leq(n, m))
-        return self._up_cache[n]
+        """{m : n <= m} for nonzero n: the normalizers that carry every block
+        of n."""
+        return frozenset.intersection(*(self._ups.get(x, frozenset()) for x in _blocks(n)))
 
-    def assert_ultra(self, n: El):
-        """up(n) is a maximal proper filter exactly when n is minimal: any
-        strictly larger proper filter would need a nonzero common lower bound
-        of n and an outside element, which minimality forbids."""
-        if not self._is_minimal(n):
-            raise InternalCheckError("ultrafilter representative is not minimal")
-        up = self.up_set(n)
-        for m in self.nonzero:
-            if leq(m, n) and m != n:
-                raise InternalCheckError("minimality violated")
-        for x in self.nonzero:
-            if x in up:
-                continue
-            for z in self.nonzero:
-                if leq(z, n) and leq(z, x):
-                    raise InternalCheckError("up-set is not maximal")
-
-    def is_filter(self, subset) -> bool:
-        sub = set(subset)
-        if not sub or not sub <= set(self.nonzero):
-            return False
-        for n in sub:
-            for m in self.nonzero:
-                if leq(n, m) and m not in sub:
-                    return False
-        for a in sub:
-            for b in sub:
-                if not any(leq(z, a) and leq(z, b) for z in sub):
-                    return False
-        return True
-
-    def composable(self, u0: El, v0: El, full_check: bool = False) -> bool:
+    def composable(self, u0: El, v0: El) -> bool:
         """Ultrafilter composability off the minimal representatives.
 
         The projection test (dagger u0) u0 v0 (dagger v0) != 0 agrees with
         u0 v0 != 0, and when it holds no member product can vanish: a member
         is its representative plus arrows over other source units, and those
         extra arrows cannot reach the representative's source unit, so every
-        member product restricts back to u0 v0.  full_check verifies both
-        statements over all pairs of members.  (Member-level projection
+        member product restricts back to u0 v0.  (Member-level projection
         products are useless here: invertible members have u (dagger u) = 1.)"""
         du, dv = self.dagger_of[u0], self.dagger_of[v0]
-        rep = not ((du * u0) * (v0 * dv)).is_zero()
-        if full_check:
-            prod = u0 * v0
-            if rep == prod.is_zero():
-                raise InternalCheckError(
-                    "projection test disagrees with the representative product")
-            if rep:
-                for u in self.up_set(u0):
-                    for v in self.up_set(v0):
-                        uv = u * v
-                        if uv.is_zero() or not leq(prod, uv):
-                            raise InternalCheckError(
-                                "member product escapes the representative product")
-        return rep
+        return not ((du * u0) * (v0 * dv)).is_zero()
 
 
-def build_sigma_prime(ctx: Context, guard: int = SCAN_GUARD,
-                      full_checks: bool = True):
+def build_sigma_prime(ctx: Context, guard: int = SCAN_GUARD):
     """Groupoid of normalizer ultrafilters.  Returns (sigma_prime, ultra,
     rep_list) with rep_list[i] the minimal representative of arrow i."""
     ultra = UltraStructure(ctx, None, guard)
     g = ctx.groupoid
     mins = ultra.minimals
-    if full_checks:
-        for n in mins:
-            ultra.assert_ultra(n)
     unit_reps = []
     for u in g.units():
         du = ctx.delta(u)
@@ -440,7 +361,7 @@ def build_sigma_prime(ctx: Context, guard: int = SCAN_GUARD,
         for b, nb in enumerate(rep_list):
             if src[a] != tgt[b]:
                 continue
-            if not ultra.composable(na, nb, full_check=False):
+            if not ultra.composable(na, nb):
                 raise InternalCheckError("endpoint match without composability")
             prod = na * nb
             if prod not in index:
@@ -460,14 +381,13 @@ def build_sigma_prime(ctx: Context, guard: int = SCAN_GUARD,
     return sigma_prime, ultra, rep_list
 
 
-def ultrafilter_groupoid(ctx: Context, guard: int = SCAN_GUARD,
-                         full_checks: bool = True):
+def ultrafilter_groupoid(ctx: Context, guard: int = SCAN_GUARD):
     """Groupoid of ultrafilters together with its quotient by unit scaling.
     Returns (sigma_prime, g_prime, info); info carries the representatives,
     the orbit structure, and the diagnostic flags consumed by phi_check."""
     g = ctx.groupoid
     r = ctx.ring
-    sigma_prime, ultra, rep_list = build_sigma_prime(ctx, guard, full_checks)
+    sigma_prime, ultra, rep_list = build_sigma_prime(ctx, guard)
     index = {n: i for i, n in enumerate(rep_list)}
     runits = r.units()
     info = {

@@ -47,15 +47,14 @@ class Context:
         self.label = label or f"{groupoid.label}/{ring}"
         self.dim = groupoid.num_arrows
         self.n_units = groupoid.n_units
-        self._fact = groupoid.composable_pairs()
         self.is_fp = ring.kind == coeffmod.PRIME_FIELD
         self._dtype = np.int64 if self.is_fp else object
         if self.is_fp:
             self.p = ring.modulus
-        self._A, self._B = np.array(self._fact, dtype=np.int64).T.copy()
+        self._A, self._B = groupoid.composable_pairs().T.copy()
         self._C = groupoid.comp[self._A, self._B]
         # omega is 1 off the table; scatter the table onto the pair order
-        self._W = np.full(len(self._fact), ring.one, dtype=self._dtype)
+        self._W = np.full(len(self._C), ring.one, dtype=self._dtype)
         if self.cocycle.table:
             keys = self._A * self.dim + self._B   # ascending: pairs are row-major
             at = np.searchsorted(keys, [a * self.dim + b for a, b in self.cocycle.table])
@@ -205,7 +204,7 @@ class Context:
             "units": g.n_units,
             "src": [int(x) for x in g.src],
             "tgt": [int(x) for x in g.tgt],
-            "comp": [[int(a), int(b), int(g.comp[a, b])] for a, b in self._fact],
+            "comp": np.column_stack((self._A, self._B, self._C)).tolist(),
             "inv": [int(x) for x in g.inv],
             "ring": str(self.ring),
             "cocycle": self.cocycle.to_json(),

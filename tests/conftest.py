@@ -53,10 +53,12 @@ def oracle_context(name):
     iso = gpd.attach_isotropy(gpd.disjoint_union([gpd.pair_groupoid(2), gpd.pair_groupoid(1)]),
                               2, gpd.cyclic_table(3))
     return {
+        "pair2/F3": lambda: make_context(gpd.pair_groupoid(2), f3),
         "pair3/F2": lambda: make_context(gpd.pair_groupoid(3), f2),
         "pair3/F3": lambda: make_context(gpd.pair_groupoid(3), f3),
         "z2/F3": lambda: make_context(gpd.from_group(gpd.cyclic_table(2)), f3),
         "z2/Q": lambda: make_context(gpd.from_group(gpd.cyclic_table(2)), q),
+        "pair4/F2": lambda: make_context(gpd.pair_groupoid(4), f2),
         "pair(4)/Q": lambda: make_context(gpd.pair_groupoid(4), q),
         "sign_flip(2)/Q": lambda: make_context(gpd.sign_flip_groupoid(2), q),
         "z3/F5": lambda: make_context(gpd.from_group(gpd.cyclic_table(3)), f5),

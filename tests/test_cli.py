@@ -152,16 +152,26 @@ def test_guard_exceeded_exits_three(tmp_path, capsys):
     assert "exceeds guard 5" in rep["message"]
 
 
-@pytest.mark.parametrize("command", ["galois", "pqc-scan"])
-def test_guard_skipped_classification_exits_three(capsys, command):
+@pytest.mark.parametrize("command, job, guard, measured", [
     # pair(3)/F2: the 2^6 generators pass a guard of 100, but classifying
     # some closure needs 2^7 normalizer candidates
-    path = str(CORPUS / "04-pair3-f2-galois.json")
-    code, out = run_cli([command, "--context", path, "--guard-dim", "100"], capsys)
+    pytest.param("galois", "04-pair3-f2-galois", 100, 128, id="galois"),
+    pytest.param("pqc-scan", "04-pair3-f2-galois", 100, 128, id="pqc-scan"),
+    pytest.param("classify", "02-pair3-f3-classify", 5, 3 ** 9, id="classify"),
+    pytest.param("two-arrows", "08-k2xz2-f3-two-arrows", 5, 27, id="two-arrows"),
+    pytest.param("bad-apple", "09-z3-f5-bad-apple", 5, 25, id="bad-apple"),
+])
+def test_guard_skipped_classification_exits_three(capsys, command, job, guard, measured):
+    # with --expect too: a refused scan is exit 3, never a verdict mismatch
+    path = str(CORPUS / f"{job}.json")
+    expect = json.loads(Path(path).read_text())["expect"]
+    code, out = run_cli([command, "--context", path, "--guard-dim", str(guard),
+                         "--expect", expect], capsys)
     assert code == 3
     rep = json.loads(out)
     assert rep["error"] == "guard-exceeded"
-    assert rep["message"] == "normalizer scan candidates: measured 128 exceeds guard 100"
+    assert rep["message"] == (f"normalizer scan candidates: measured {measured} "
+                              f"exceeds guard {guard}")
 
 
 def test_prime_field_past_the_int64_bound_exits_two(tmp_path, capsys):

@@ -13,6 +13,7 @@ from cartan_lab.inclusions import diagonal_basis, subgroupoid_algebra
 from cartan_lab.steinberg import (Context, algebra_closure, corner_bases, full_algebra_basis,
                                   span_closure)
 
+import normalizer_oracle as oracle
 from conftest import (KLEIN_TABLE, ORACLE_CONTEXTS, arrow_between, klein_bicharacter,
                       make_context, oracle_context)
 
@@ -22,7 +23,7 @@ from conftest import (KLEIN_TABLE, ORACLE_CONTEXTS, arrow_between, klein_bichara
 def test_unit_indicator_normalizer(pair3_f3):
     cert = nz.is_normalizer(pair3_f3, pair3_f3.one())
     assert cert is not None
-    assert cert.verify()
+    assert oracle.verify_cert(cert)
     assert cert.dagger == pair3_f3.one()
 
 
@@ -32,7 +33,7 @@ def test_partner_solve_over_rationals(rings):
     ctx = make_context(gpd.from_group(gpd.cyclic_table(2)), rings["Q"])
     cert = nz.is_normalizer(ctx, ctx.delta(0, Fraction(2)) + ctx.delta(1))
     assert cert is not None
-    assert cert.verify()
+    assert oracle.verify_cert(cert)
     assert cert.dagger == ctx.delta(0, Fraction(2, 3)) + ctx.delta(1, Fraction(-1, 3))
     assert nz.is_normalizer(ctx, ctx.delta(0) + ctx.delta(1)) is None
 
@@ -44,7 +45,7 @@ def test_dagger_closed_form_inverts_bisections(pair3_f3):
     k = nz.dagger_closed_form(ctx, n)
     assert k is not None
     cert = nz.NormalizerCert(n, k)
-    assert cert.verify()
+    assert oracle.verify_cert(cert)
     # trivial twist: the dagger of an indicator is the indicator of the inverses
     inv_support = {int(ctx.groupoid.inv[x]) for x in n.coeffs}
     assert set(k.coeffs) == inv_support
@@ -61,7 +62,7 @@ def test_dagger_closed_form_with_bicharacter_twist():
         ia = int(g.inv[a])
         expected = ctx.delta(ia, r.try_inv(ctx.cocycle.omega(ia, a)))
         assert k == expected
-        assert nz.NormalizerCert(n, k).verify()
+        assert oracle.verify_cert(nz.NormalizerCert(n, k))
 
 
 def test_dagger_closed_form_refuses_non_bisections(z3_f5):
@@ -72,7 +73,7 @@ def test_dagger_closed_form_refuses_non_bisections(z3_f5):
 def test_dagger_unique_for_symmetric_sum(z3_f5):
     # invertible element of a commutative algebra: the partner is forced
     w = z3_f5.delta(1) + z3_f5.delta(2)
-    partners = nz.exhaustive_partners(z3_f5, w)
+    partners = oracle.exhaustive_partners(z3_f5, w)
     assert len(partners) == 1
     k = partners[0]
     assert k == z3_f5.element({0: 2, 1: 3, 2: 3})
@@ -85,7 +86,7 @@ def test_dagger_unique_across_enumerated_sample(pair3_f3):
     rng = random.Random(29)
     sample = rng.sample([c for c in certs if not c.n.is_zero()], 12)
     for cert in sample:
-        partners = nz.exhaustive_partners(pair3_f3, cert.n)
+        partners = oracle.exhaustive_partners(pair3_f3, cert.n)
         assert partners == [cert.dagger]
 
 
@@ -98,7 +99,7 @@ def test_closed_form_agrees_with_exhaustive_search_under_twist():
         for lam in (1, 2):
             n = ctx.delta(a, lam)
             k = nz.dagger_closed_form(ctx, n)
-            partners = nz.exhaustive_partners(ctx, n)
+            partners = oracle.exhaustive_partners(ctx, n)
             assert partners == [k]
 
 
@@ -118,7 +119,7 @@ def test_enumerate_full_pair3(pair3_f3):
     certs = nz.enumerate_normalizers(pair3_f3)
     assert len(certs) == 139
     for cert in certs:
-        assert cert.verify()
+        assert oracle.verify_cert(cert)
     free = [c for c in certs if nz.is_free_normalizer(c)]
     assert len(free) == 39
 
@@ -189,7 +190,7 @@ def reference_is_normalizer(ctx, n, basis):
         return None
     k0 = ctx.combination(sol, basis.rows)
     cert = nz.NormalizerCert(n, k0 * n * k0)
-    assert cert.verify(basis)
+    assert oracle.verify_cert(cert, basis)
     return cert
 
 
@@ -334,14 +335,14 @@ def test_corner_bases_refuse_a_non_bimodule(pair3_f3):
 def test_leq_is_a_partial_order(z2_f3):
     ns = [c.n for c in nz.enumerate_normalizers(z2_f3) if not c.n.is_zero()]
     for n in ns:
-        assert nz.leq(n, n)
+        assert oracle.leq(n, n)
     for n in ns:
         for m in ns:
-            if nz.leq(n, m) and nz.leq(m, n):
+            if oracle.leq(n, m) and oracle.leq(m, n):
                 assert n == m
             for k in ns:
-                if nz.leq(n, m) and nz.leq(m, k):
-                    assert nz.leq(n, k)
+                if oracle.leq(n, m) and oracle.leq(m, k):
+                    assert oracle.leq(n, k)
 
 
 def test_leq_restriction_characterization(pair3_f3):
@@ -354,16 +355,16 @@ def test_leq_restriction_characterization(pair3_f3):
         source_units = {int(g.src[a]) for a in m.coeffs}
         for k in range(len(source_units) + 1):
             for subset in itertools.islice(itertools.combinations(sorted(source_units), k), 4):
-                n = nz.restriction(m, subset)
-                assert nz.leq(n, m)
+                n = oracle.restriction(m, subset)
+                assert oracle.leq(n, m)
 
 
 def test_minimals_are_ultrafilter_representatives(z2_f3):
     ultra = nz.UltraStructure(z2_f3)
     assert sorted(repr(m) for m in ultra.minimals) == ["1@0", "1@1", "2@0", "2@1"]
     for m in ultra.minimals:
-        ultra.assert_ultra(m)
-        assert ultra.is_filter(ultra.up_set(m))
+        oracle.assert_ultra(ultra, m)
+        assert oracle.is_filter(ultra, ultra.up_set(m))
 
 
 def test_ultrafilter_counts_match_total_groupoid(pair3_f2, z2_f3):
@@ -379,9 +380,9 @@ def test_filters_are_principal_up_sets(z2_f3):
     ns = ultra.nonzero
     for size in (1, 2, 3):
         for subset in itertools.combinations(ns, size):
-            if not ultra.is_filter(set(subset)):
+            if not oracle.is_filter(ultra, set(subset)):
                 continue
-            least = [n for n in subset if all(nz.leq(n, m) for m in subset)]
+            least = [n for n in subset if all(oracle.leq(n, m) for m in subset)]
             assert len(least) == 1
             assert set(subset) == set(ultra.up_set(least[0]))
 
@@ -417,7 +418,7 @@ def test_subsemigroup_filter_calculus(pair3_f3):
 def test_ultrafilter_products_independent_of_representatives(z2_f3):
     # pair(2) has proper up-sets (monomials below invertibles), so the
     # product check is not vacuous there
-    pair2 = make_context(gpd.pair_groupoid(2), coeff.Ring(coeff.PRIME_FIELD, 3))
+    pair2 = oracle_context("pair2/F3")
     for ctx in (z2_f3, pair2):
         ultra = nz.UltraStructure(ctx)
 
@@ -426,21 +427,36 @@ def test_ultrafilter_products_independent_of_representatives(z2_f3):
             for x in elements:
                 if x.is_zero():
                     continue
-                out |= ultra.up_set(x)
+                out |= oracle.up_set(ultra, x)
             return out
 
         seen_proper_upset = False
         for u0 in ultra.minimals:
-            if len(ultra.up_set(u0)) > 1:
+            if len(oracle.up_set(ultra, u0)) > 1:
                 seen_proper_upset = True
             for v0 in ultra.minimals:
-                if not ultra.composable(u0, v0, full_check=True):
+                if not oracle.composable(ultra, u0, v0):
                     continue
-                member_products = {u * v for u in ultra.up_set(u0)
-                                   for v in ultra.up_set(v0)}
+                member_products = {u * v for u in oracle.up_set(ultra, u0)
+                                   for v in oracle.up_set(ultra, v0)}
                 assert upclose(member_products) == upclose({u0 * v0})
         if ctx is pair2:
             assert seen_proper_upset
+
+
+@pytest.mark.parametrize("name", ORACLE_CONTEXTS + ["pair2/F3", "pair4/F2"])
+def test_block_index_matches_the_order_oracle(name):
+    """Minimal elements and up-sets read off the blocks agree with pairwise
+    comparison under leq, on the full algebra and on seeded subalgebras."""
+    ctx = oracle_context(name)
+    for c in _oracle_spans(ctx):
+        ultra = nz.UltraStructure(ctx, c)
+        assert ultra.minimals == oracle.minimals(ultra)
+        for n in ultra.nonzero:
+            assert ultra.up_set(n) == oracle.up_set(ultra, n)
+        for m in ultra.minimals:
+            oracle.assert_ultra(ultra, m)
+            assert oracle.is_filter(ultra, ultra.up_set(m))
 
 
 # -- reconstruction ----------------------------------------------------------
@@ -458,6 +474,17 @@ def test_reconstruction_z2_f3(z2_f3):
     # sigma' has one ultrafilter per (unit scalar, arrow)
     assert rep["ultrafilter_count"] == 4
     assert rep["orbit_count"] == 2
+
+
+def test_reconstruction_pair4_f3_past_the_scan_guard():
+    # 3^16 candidates exceed the default guard; the corner scan finds the
+    # normalizers and the block index reads their 32 ultrafilters
+    ctx = make_context(gpd.pair_groupoid(4), coeff.Ring(coeff.PRIME_FIELD, 3))
+    rep = nz.phi_check(ctx, guard=3 ** 16)
+    assert rep["normalizer_count"] == 1472
+    assert rep["ultrafilter_count"] == 32
+    assert rep["orbit_count"] == 16
+    assert rep["reconstructed"]
 
 
 def test_reconstruction_quotient_shape(pair3_f2):

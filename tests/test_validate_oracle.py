@@ -35,7 +35,7 @@ def exhaustive_cocycle_validate(c):
             return False, f"normalization fails: omega(tgt,{a}) != 1"
         if c.omega(a, w) != r.one:
             return False, f"normalization fails: omega({a},src) != 1"
-    pairs = g.composable_pairs()
+    pairs = g.composable_pairs().tolist()
     right_of = {}
     for b, z in pairs:
         right_of.setdefault(b, []).append(z)
@@ -153,7 +153,7 @@ def corrupt_table(c, rng, values):
     g = c.groupoid
     n = g.num_arrows
     table = dict(c.table)
-    pairs = g.composable_pairs()
+    pairs = [tuple(pair) for pair in g.composable_pairs().tolist()]
     for _ in range(rng.randint(1, 3)):
         if rng.random() < 0.1:
             pair = (rng.randrange(n), rng.randrange(n))
