@@ -43,12 +43,6 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, El):
-        return obj.to_json()
-    if isinstance(obj, Basis):
-        return obj.to_json()
-    if isinstance(obj, expmod.SignFamily):
-        return _jsonable(obj.to_json())
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (set, frozenset)):

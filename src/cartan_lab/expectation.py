@@ -272,7 +272,7 @@ def averaging_obstruction(ctx: Context, f: El, n_random: int = 200,
         proof["exhaustive_note"] = "infinite coefficient ring, family scan skipped"
         return proof
 
-    n_diag = len(r.elements()) ** len(units)
+    n_diag = r.modulus ** len(units)
     total = sum(n_diag ** n for n in range(1, max_family_size + 1))
     if total > guard:
         raise GuardExceeded("diagonal family scan", total, guard)

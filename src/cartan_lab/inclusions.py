@@ -117,6 +117,8 @@ def classify(ctx: Context, c_basis: Basis | None = None,
     wits: dict = {}
     notes: list = []
 
+    if not r.is_field and r.modulus > guard:
+        raise GuardExceeded("Z/m residue scan", r.modulus, guard)
     ok, wt_wit = r.wt_check()
     flags["WT"] = ok
     if not ok:
@@ -256,10 +258,17 @@ def monic_off_generators(ctx: Context, guard: int = SCAN_GUARD):
             yield ctx.element(coeffs)
 
 
-def _closure_of_generator(ctx: Context, gen: El) -> Basis:
-    if gen.is_zero():
-        return diagonal_basis(ctx)
-    return algebra_closure(ctx, [gen])
+def singly_generated_closures(ctx: Context, guard: int = SCAN_GUARD):
+    """The distinct closures alg(D + {gen}) over monic_off_generators, as
+    {key: (closure, first generator)} in first-seen order, and the number of
+    generators scanned."""
+    closures: dict = {}
+    scanned = 0
+    for gen in monic_off_generators(ctx, guard):
+        scanned += 1
+        c = diagonal_basis(ctx) if gen.is_zero() else algebra_closure(ctx, [gen])
+        closures.setdefault(c.key(), (c, gen))
+    return closures, scanned
 
 
 @dataclass
@@ -341,13 +350,7 @@ def galois(ctx: Context, guard: int = SCAN_GUARD) -> LatticeReport:
                               algebra_closure(ctx, c1.rows + c2.rows))
         return lattice_ops[k]
 
-    seen_closures = set()
-    for gen in monic_off_generators(ctx, guard):
-        c = _closure_of_generator(ctx, gen)
-        k = c.key()
-        if k in seen_closures:
-            continue
-        seen_closures.add(k)
+    for c, _ in singly_generated_closures(ctx, guard)[0].values():
         admit(c)
 
     for h in wides:
@@ -446,14 +449,7 @@ def pqc_scan(ctx: Context, guard: int = SCAN_GUARD) -> dict:
         raise InputError("pqc_scan needs a finite field")
     g = ctx.groupoid
     p = ctx.p
-    closures: dict = {}
-    scanned = 0
-    for gen in monic_off_generators(ctx, guard):
-        scanned += 1
-        c = _closure_of_generator(ctx, gen)
-        k = c.key()
-        if k not in closures:
-            closures[k] = (c, gen)
+    closures, scanned = singly_generated_closures(ctx, guard)
     failures = []
     for k in sorted(closures):
         c, gen = closures[k]

@@ -35,6 +35,22 @@ and an element outside up(x), and the only nonzero element below x is x.
 UltraStructure indexes the normalizers by their blocks once and reads the
 minimal elements and up-sets off that index, with no pairwise comparison.
 
+Reconstruction (phi_check) relies on three further facts about the blocks.
+Endpoints come from the corner: a minimal x in C_{v,w} has its partner y
+with x y = delta_v and y x = delta_w, certified when x was enumerated, so
+up(x) runs from w to v, the source and target of any arrow of x.
+Composability is the endpoint match: for minimal u0 and v0 the projection
+product (dagger u0) u0 v0 (dagger v0) is delta_src(u0) delta_tgt(v0), nonzero
+exactly when src(u0) = tgt(v0), and then u0 v0 is again one corner unit, the
+representative of the product ultrafilter.  The support sets are read off the
+blocks: {n : n(gamma) != 0} is the set of normalizers whose block at
+src(gamma) carries gamma, the union of up(t delta_gamma) over the units t is
+the set whose block there is a multiple of delta_gamma, and the two agree for
+every arrow gamma exactly when every block in the index is a single arrow.
+The twist is then compared in one table comparison: (t, gamma) -> up(t
+delta_gamma) must carry the product of the total groupoid onto that of the
+ultrafilter groupoid.
+
 Order contract of enumerate_normalizers (classify reports the first blocking
 normalizer as a witness, so the order shows in reports): zero first, then
 each monic normalizer (first nonzero coordinate 1) in lexicographic order of
@@ -49,6 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cartan_lab import exactlin
+from cartan_lab import twist as twistmod
 from cartan_lab.errors import GuardExceeded, InputError, InternalCheckError
 from cartan_lab.groupoid import Groupoid
 from cartan_lab.steinberg import (Basis, Context, El, corner_bases, full_algebra_basis,
@@ -305,74 +322,45 @@ class UltraStructure:
         for n, xs in blocks.items():
             for x in xs:
                 ups.setdefault(x, set()).add(n)
-        self._ups = {x: frozenset(members) for x, members in ups.items()}
+        # every block of every nonzero normalizer, with the normalizers carrying it
+        self.block_index = {x: frozenset(members) for x, members in ups.items()}
         self.minimals = [n for n in self.nonzero if len(blocks[n]) == 1]
 
     def up_set(self, n: El) -> frozenset:
         """{m : n <= m} for nonzero n: the normalizers that carry every block
         of n."""
-        return frozenset.intersection(*(self._ups.get(x, frozenset()) for x in _blocks(n)))
-
-    def composable(self, u0: El, v0: El) -> bool:
-        """Ultrafilter composability off the minimal representatives.
-
-        The projection test (dagger u0) u0 v0 (dagger v0) != 0 agrees with
-        u0 v0 != 0, and when it holds no member product can vanish: a member
-        is its representative plus arrows over other source units, and those
-        extra arrows cannot reach the representative's source unit, so every
-        member product restricts back to u0 v0.  (Member-level projection
-        products are useless here: invertible members have u (dagger u) = 1.)"""
-        du, dv = self.dagger_of[u0], self.dagger_of[v0]
-        return not ((du * u0) * (v0 * dv)).is_zero()
+        return frozenset.intersection(*(self.block_index.get(x, frozenset())
+                                        for x in _blocks(n)))
 
 
 def build_sigma_prime(ctx: Context, guard: int = SCAN_GUARD):
-    """Groupoid of normalizer ultrafilters.  Returns (sigma_prime, ultra,
-    rep_list) with rep_list[i] the minimal representative of arrow i."""
+    """Groupoid of normalizer ultrafilters, one arrow per minimal element, the
+    unit deltas first.  Returns (sigma_prime, ultra, rep_list) with
+    rep_list[i] the minimal representative of arrow i."""
     ultra = UltraStructure(ctx, None, guard)
     g = ctx.groupoid
-    mins = ultra.minimals
-    unit_reps = []
-    for u in g.units():
-        du = ctx.delta(u)
-        if du not in ultra.dagger_of:
-            raise InternalCheckError("unit delta is not a normalizer")
-        if du not in mins:
-            raise InternalCheckError("unit delta is not minimal")
-        unit_reps.append(du)
-    rest = [n for n in mins if n not in set(unit_reps)]
-    rep_list = unit_reps + rest
-    index = {n: i for i, n in enumerate(rep_list)}
-    total = len(rep_list)
-    src = np.zeros(total, dtype=np.int64)
-    tgt = np.zeros(total, dtype=np.int64)
-    for n, i in index.items():
-        k = ultra.dagger_of[n]
-        rr = n * k
-        ss = k * n
-        if rr not in index or ss not in index:
-            raise InternalCheckError("range/source projection is not an ultrafilter unit")
-        if index[rr] >= g.n_units or index[ss] >= g.n_units:
-            raise InternalCheckError("range/source of an ultrafilter is not a unit")
-        tgt[i] = index[rr]
-        src[i] = index[ss]
-    comp = -np.ones((total, total), dtype=np.int64)
-    for a, na in enumerate(rep_list):
-        for b, nb in enumerate(rep_list):
-            if src[a] != tgt[b]:
-                continue
-            if not ultra.composable(na, nb):
-                raise InternalCheckError("endpoint match without composability")
-            prod = na * nb
-            if prod not in index:
-                raise InternalCheckError("product of minimal representatives not minimal")
-            comp[a, b] = index[prod]
-    inv = np.zeros(total, dtype=np.int64)
-    for n, i in index.items():
-        k = ultra.dagger_of[n]
-        if k not in index:
-            raise InternalCheckError("dagger of a minimal element is not minimal")
-        inv[i] = index[k]
+    unit_reps = ctx.unit_deltas()
+    units = set(unit_reps)
+    if not units <= set(ultra.minimals):
+        raise InternalCheckError("a unit delta is not a minimal normalizer")
+    rep_list = unit_reps + [n for n in ultra.minimals if n not in units]
+    # a minimal element is one corner unit: its arrows share source and target
+    first = [min(n.coeffs) for n in rep_list]
+    src, tgt = g.src[first], g.tgt[first]
+    vecs = np.array([ctx.vec(n) for n in rep_list])
+    index = {v.tobytes(): i for i, v in enumerate(vecs)}
+
+    def positions(rows) -> list:
+        out = [index.get(v.tobytes()) for v in rows]
+        if None in out:
+            raise InternalCheckError("product or dagger of minimal elements not minimal")
+        return out
+
+    comp = np.full((len(rep_list), len(rep_list)), -1, dtype=np.int64)
+    for a in range(len(rep_list)):
+        bs = np.nonzero(tgt == src[a])[0]
+        comp[a, bs] = positions(ctx.conv_single_batch(vecs[a], vecs[bs]))
+    inv = np.array(positions([ctx.vec(ultra.dagger_of[n]) for n in rep_list]), dtype=np.int64)
     sigma_prime = Groupoid(g.n_units, src, tgt, comp, inv,
                            label=f"ultra({ctx.label})")
     ok, msg = sigma_prime.validate()
@@ -381,171 +369,64 @@ def build_sigma_prime(ctx: Context, guard: int = SCAN_GUARD):
     return sigma_prime, ultra, rep_list
 
 
-def ultrafilter_groupoid(ctx: Context, guard: int = SCAN_GUARD):
-    """Groupoid of ultrafilters together with its quotient by unit scaling.
-    Returns (sigma_prime, g_prime, info); info carries the representatives,
-    the orbit structure, and the diagnostic flags consumed by phi_check."""
-    g = ctx.groupoid
-    r = ctx.ring
-    sigma_prime, ultra, rep_list = build_sigma_prime(ctx, guard)
-    index = {n: i for i, n in enumerate(rep_list)}
-    runits = r.units()
-    info = {
-        "ultra": ultra,
-        "rep_list": rep_list,
-        "index": index,
-        "normalizer_count": len(ultra.nonzero),
-        "ultrafilter_count": len(rep_list),
-    }
-    orbit_of = {}
-    orbits = []
-    for i, n in enumerate(rep_list):
-        if i in orbit_of:
-            continue
-        orb = []
-        for t in runits:
-            j = index.get(n.scale(t))
-            if j is None:
-                info["scaling_closed"] = False
-                return sigma_prime, None, info
-            if j not in orbit_of:
-                orbit_of[j] = len(orbits)
-                orb.append(j)
-        orbits.append(sorted(orb))
-    info["scaling_closed"] = True
-    info["orbit_of"] = orbit_of
-    info["orbits"] = orbits
-    unit_orbits = sorted({orbit_of[u] for u in range(g.n_units)})
-    reorder = unit_orbits + [o for o in range(len(orbits)) if o not in unit_orbits]
-    pos = {o: i for i, o in enumerate(reorder)}
-    info["pos"] = pos
-    q_total = len(orbits)
-    q_src = np.zeros(q_total, dtype=np.int64)
-    q_tgt = np.zeros(q_total, dtype=np.int64)
-    q_comp = -np.ones((q_total, q_total), dtype=np.int64)
-    q_inv = np.zeros(q_total, dtype=np.int64)
-    for o_idx, orb in enumerate(orbits):
-        i = orb[0]
-        q_src[pos[o_idx]] = pos[orbit_of[int(sigma_prime.src[i])]]
-        q_tgt[pos[o_idx]] = pos[orbit_of[int(sigma_prime.tgt[i])]]
-        q_inv[pos[o_idx]] = pos[orbit_of[int(sigma_prime.inv[i])]]
-    well_defined = True
-    for o1, orb1 in enumerate(orbits):
-        for o2, orb2 in enumerate(orbits):
-            results = set()
-            for i in orb1:
-                for j in orb2:
-                    c = sigma_prime.comp[i, j]
-                    if c >= 0:
-                        results.add(orbit_of[int(c)])
-            if len(results) > 1:
-                well_defined = False
-            if results:
-                q_comp[pos[o1], pos[o2]] = pos[results.pop()]
-    info["quotient_well_defined"] = well_defined
-    quotient = Groupoid(len(unit_orbits), q_src, q_tgt, q_comp, q_inv,
-                        label=f"quotient({ctx.label})")
-    ok, msg = quotient.validate()
-    info["quotient_valid"] = ok
-    if not ok:
-        info["quotient_violation"] = msg
-        return sigma_prime, None, info
-    return sigma_prime, quotient, info
+def _carries(f: np.ndarray, comp: np.ndarray, image: np.ndarray) -> bool:
+    """Does the arrow map f carry the composition table comp onto image:
+    f(a) f(b) is defined exactly when ab is, and then equals f(ab)?"""
+    return np.array_equal(np.where(comp >= 0, f[comp], -1), image[np.ix_(f, f)])
 
 
 def phi_check(ctx: Context, guard: int = SCAN_GUARD) -> dict:
-    """Reconstruction report: the ultrafilter groupoid, its scaling quotient,
-    the arrow-level comparison map, and the twist-level comparison."""
+    """Reconstruction report: the ultrafilter groupoid Sigma', its quotient by
+    unit scaling, the arrow map phi: G -> quotient and the twist map
+    psi: Sigma -> Sigma', (t, gamma) -> t delta_gamma."""
     g = ctx.groupoid
-    r = ctx.ring
-    sigma_prime, quotient, info = ultrafilter_groupoid(ctx, guard)
-    ultra = info["ultra"]
-    rep_list = info["rep_list"]
-    index = info["index"]
-    runits = r.units()
+    sigma_prime, ultra, rep_list = build_sigma_prime(ctx, guard)
+    runits = ctx.ring.units()
+    index = {n: i for i, n in enumerate(rep_list)}
     report = {
-        "normalizer_count": info["normalizer_count"],
-        "ultrafilter_count": info["ultrafilter_count"],
+        "normalizer_count": len(ultra.nonzero),
+        "ultrafilter_count": len(rep_list),
         "expected_total_size": len(runits) * g.num_arrows,
-        "total_size_matches": info["ultrafilter_count"] == len(runits) * g.num_arrows,
-        "scaling_closed": info["scaling_closed"],
+        "total_size_matches": len(rep_list) == len(runits) * g.num_arrows,
     }
-    if not info["scaling_closed"]:
+    scalings = [[index.get(n.scale(t)) for t in runits] for n in rep_list]
+    report["scaling_closed"] = all(None not in row for row in scalings)
+    if not report["scaling_closed"]:
         return report
-    orbit_of = info["orbit_of"]
-    orbits = info["orbits"]
-    pos = info["pos"]
-    report["orbit_count"] = len(orbits)
-    report["quotient_well_defined"] = info["quotient_well_defined"]
-    report["quotient_valid"] = info["quotient_valid"]
-    if quotient is None:
-        report["quotient_violation"] = info.get("quotient_violation")
+    # orbits numbered by their first member; the unit deltas come first, so
+    # the quotient's units are orbits 0 .. n_units - 1
+    firsts, orbit_of = np.unique(np.min(scalings, axis=1), return_inverse=True)
+    orbit_table = np.where(sigma_prime.comp >= 0, orbit_of[sigma_prime.comp], -1)
+    q_comp = orbit_table[np.ix_(firsts, firsts)]
+    report["orbit_count"] = len(firsts)
+    report["quotient_well_defined"] = _carries(orbit_of, sigma_prime.comp, q_comp)
+    quotient = Groupoid(g.n_units, orbit_of[sigma_prime.src[firsts]],
+                        orbit_of[sigma_prime.tgt[firsts]], q_comp,
+                        orbit_of[sigma_prime.inv[firsts]], label=f"quotient({ctx.label})")
+    report["quotient_valid"], msg = quotient.validate()
+    if not report["quotient_valid"]:
+        report["quotient_violation"] = msg
         return report
-    q_total = len(orbits)
-    # arrow-level comparison: gamma -> orbit of up(delta_gamma)
-    phi = {}
-    injective = True
-    for a in range(g.num_arrows):
-        da = ctx.delta(a)
-        j = index.get(da)
-        if j is None:
-            report["arrow_map_total"] = False
-            return report
-        phi[a] = pos[orbit_of[j]]
-    report["arrow_map_total"] = True
-    if len(set(phi.values())) != g.num_arrows or q_total != g.num_arrows:
-        injective = False
-    units_ok = all(phi[u] == u for u in g.units())
-    homo = True
-    for a in range(g.num_arrows):
-        for b in range(g.num_arrows):
-            c = g.comp[a, b]
-            qc = quotient.comp[phi[a], phi[b]]
-            if (c >= 0) != (qc >= 0):
-                homo = False
-            elif c >= 0 and phi[int(c)] != int(qc):
-                homo = False
-    report["arrow_map_bijective"] = injective
-    report["arrow_map_units"] = units_ok
-    report["arrow_map_homomorphism"] = homo
-    report["groupoid_isomorphic"] = injective and units_ok and homo
-    # support sets: {n : n(gamma) != 0} must be the union of the orbit's up-sets
-    support_sets_ok = True
-    for a in range(g.num_arrows):
-        sa = {n for n in ultra.nonzero if n.value(a) != r.zero}
-        j = index[ctx.delta(a)]
-        orb = orbits[orbit_of[j]]
-        union = set()
-        for i in orb:
-            union |= ultra.up_set(rep_list[i])
-        if sa != union:
-            support_sets_ok = False
-            break
-    report["support_sets_match"] = support_sets_ok
-    # twist level: (t, gamma) -> up(t delta_gamma) against the twisted product
-    twist_ok = True
-    for t in runits:
-        for a in range(g.num_arrows):
-            for t2 in runits:
-                for b in range(g.num_arrows):
-                    c = g.comp[a, b]
-                    i = index.get(ctx.delta(a).scale(t))
-                    j = index.get(ctx.delta(b).scale(t2))
-                    if i is None or j is None:
-                        twist_ok = False
-                        break
-                    sc = sigma_prime.comp[i, j]
-                    if (c >= 0) != (sc >= 0):
-                        twist_ok = False
-                        continue
-                    if c < 0:
-                        continue
-                    tv = r.mul(r.mul(t, t2), ctx.cocycle.omega(a, b))
-                    expected = index.get(ctx.delta(int(c)).scale(tv))
-                    if expected is None or int(sc) != expected:
-                        twist_ok = False
-    report["twist_squares_match"] = twist_ok
-    report["reconstructed"] = (report["total_size_matches"]
-                               and report["groupoid_isomorphic"]
-                               and support_sets_ok and twist_ok)
+    # arrow level: gamma -> orbit of up(delta_gamma)
+    found = [index.get(d) for d in ctx.basis_deltas()]
+    report["arrow_map_total"] = None not in found
+    if not report["arrow_map_total"]:
+        return report
+    phi = orbit_of[found]
+    report["arrow_map_bijective"] = len(set(phi.tolist())) == len(firsts) == g.num_arrows
+    report["arrow_map_units"] = np.array_equal(phi[:g.n_units], np.arange(g.n_units))
+    report["arrow_map_homomorphism"] = _carries(phi, g.comp, quotient.comp)
+    report["groupoid_isomorphic"] = (report["arrow_map_bijective"] and report["arrow_map_units"]
+                                     and report["arrow_map_homomorphism"])
+    # {n : n(gamma) != 0} is the union of up(t delta_gamma) over the units t
+    # exactly when every block carrying gamma is a multiple of delta_gamma
+    report["support_sets_match"] = all(len(x.coeffs) == 1 for x in ultra.block_index)
+    # twist level: psi carries the total groupoid's table onto Sigma'
+    sigma, pair_of, _, _ = twistmod.sigma_total(ctx.cocycle)
+    psi = np.array([index[ctx.delta(a).scale(t)]
+                    for t, a in map(pair_of.get, range(sigma.num_arrows))], dtype=np.int64)
+    report["twist_squares_match"] = _carries(psi, sigma.comp, sigma_prime.comp)
+    report["reconstructed"] = (report["total_size_matches"] and report["groupoid_isomorphic"]
+                               and report["support_sets_match"]
+                               and report["twist_squares_match"])
     return report

@@ -57,6 +57,7 @@ def oracle_context(name):
         "pair3/F2": lambda: make_context(gpd.pair_groupoid(3), f2),
         "pair3/F3": lambda: make_context(gpd.pair_groupoid(3), f3),
         "z2/F3": lambda: make_context(gpd.from_group(gpd.cyclic_table(2)), f3),
+        "z2/F5": lambda: make_context(gpd.from_group(gpd.cyclic_table(2)), f5),
         "z2/Q": lambda: make_context(gpd.from_group(gpd.cyclic_table(2)), q),
         "pair4/F2": lambda: make_context(gpd.pair_groupoid(4), f2),
         "pair(4)/Q": lambda: make_context(gpd.pair_groupoid(4), q),
@@ -64,6 +65,7 @@ def oracle_context(name):
         "z3/F5": lambda: make_context(gpd.from_group(gpd.cyclic_table(3)), f5),
         "k2xz2/F3": lambda: make_context(k2xz2, f3),
         "k2xz2/F3 twisted": lambda: Context(k2xz2, f3, k2xz2_bicharacter(k2xz2, f3)),
+        "klein/F3": lambda: make_context(klein, f3),
         "klein/F3 twisted": lambda: Context(klein, f3, klein_bicharacter(klein, f3)),
         "sign_flip(1)/F3": lambda: make_context(gpd.sign_flip_groupoid(1), f3),
         "iso(pair2+pair1,Z3)/F3": lambda: make_context(iso, f3),

@@ -5,8 +5,11 @@ are slow; the tests check the fast paths of cartan_lab.normalizers against
 them on small contexts.
 """
 
+import numpy as np
+
 from cartan_lab.errors import GuardExceeded, InputError, InternalCheckError
-from cartan_lab.normalizers import NormalizerCert
+from cartan_lab.groupoid import Groupoid
+from cartan_lab.normalizers import SCAN_GUARD, NormalizerCert, UltraStructure
 from cartan_lab.steinberg import full_algebra_basis
 
 
@@ -102,15 +105,32 @@ def is_filter(ultra, subset) -> bool:
     return True
 
 
+def projection_test(ultra, u0, v0) -> bool:
+    """Ultrafilter composability off the minimal representatives:
+    (dagger u0) u0 v0 (dagger v0) != 0."""
+    du, dv = ultra.dagger_of[u0], ultra.dagger_of[v0]
+    return not ((du * u0) * (v0 * dv)).is_zero()
+
+
 def composable(ultra, u0, v0) -> bool:
-    """UltraStructure.composable with both claims of its docstring checked
-    over all pairs of members of up(u0) and up(v0): the projection test
-    agrees with u0 v0 != 0, and then every member product is nonzero and
-    lies above u0 v0."""
-    rep = ultra.composable(u0, v0)
+    """The projection test with its claims checked over all pairs of members
+    of up(u0) and up(v0).  It agrees with u0 v0 != 0 and with the endpoint
+    match src(u0) = tgt(v0) (for minimal elements the two projections are the
+    deltas of those units), and when it holds no member product can vanish:
+    a member is its representative plus arrows over other source units, and
+    those extra arrows cannot reach the representative's source unit, so
+    every member product is nonzero and lies above u0 v0.  (Member-level
+    projection products are useless here: invertible members have
+    u (dagger u) = 1.)"""
+    g = u0.ctx.groupoid
+    rep = projection_test(ultra, u0, v0)
     prod = u0 * v0
     if rep == prod.is_zero():
         raise InternalCheckError("projection test disagrees with the representative product")
+    (src,) = {int(g.src[a]) for a in u0.coeffs}
+    (tgt,) = {int(g.tgt[b]) for b in v0.coeffs}
+    if rep != (src == tgt):
+        raise InternalCheckError("projection test disagrees with the endpoint match")
     if rep:
         for u in up_set(ultra, u0):
             for v in up_set(ultra, v0):
@@ -118,3 +138,231 @@ def composable(ultra, u0, v0) -> bool:
                 if uv.is_zero() or not leq(prod, uv):
                     raise InternalCheckError("member product escapes the representative product")
     return rep
+
+
+# -- reconstruction by pairwise loops -----------------------------------------
+
+def build_sigma_prime(ctx, guard: int = SCAN_GUARD):
+    """Groupoid of normalizer ultrafilters, with endpoints from the range and
+    source projections n k and k n and every endpoint-matched pair put through
+    the projection test.  Returns (sigma_prime, ultra, rep_list)."""
+    ultra = UltraStructure(ctx, None, guard)
+    g = ctx.groupoid
+    mins = ultra.minimals
+    unit_reps = []
+    for u in g.units():
+        du = ctx.delta(u)
+        if du not in ultra.dagger_of:
+            raise InternalCheckError("unit delta is not a normalizer")
+        if du not in mins:
+            raise InternalCheckError("unit delta is not minimal")
+        unit_reps.append(du)
+    rest = [n for n in mins if n not in set(unit_reps)]
+    rep_list = unit_reps + rest
+    index = {n: i for i, n in enumerate(rep_list)}
+    total = len(rep_list)
+    src = np.zeros(total, dtype=np.int64)
+    tgt = np.zeros(total, dtype=np.int64)
+    for n, i in index.items():
+        k = ultra.dagger_of[n]
+        rr = n * k
+        ss = k * n
+        if rr not in index or ss not in index:
+            raise InternalCheckError("range/source projection is not an ultrafilter unit")
+        if index[rr] >= g.n_units or index[ss] >= g.n_units:
+            raise InternalCheckError("range/source of an ultrafilter is not a unit")
+        tgt[i] = index[rr]
+        src[i] = index[ss]
+    comp = -np.ones((total, total), dtype=np.int64)
+    for a, na in enumerate(rep_list):
+        for b, nb in enumerate(rep_list):
+            if src[a] != tgt[b]:
+                continue
+            if not projection_test(ultra, na, nb):
+                raise InternalCheckError("endpoint match without composability")
+            prod = na * nb
+            if prod not in index:
+                raise InternalCheckError("product of minimal representatives not minimal")
+            comp[a, b] = index[prod]
+    inv = np.zeros(total, dtype=np.int64)
+    for n, i in index.items():
+        k = ultra.dagger_of[n]
+        if k not in index:
+            raise InternalCheckError("dagger of a minimal element is not minimal")
+        inv[i] = index[k]
+    sigma_prime = Groupoid(g.n_units, src, tgt, comp, inv,
+                           label=f"ultra({ctx.label})")
+    ok, msg = sigma_prime.validate()
+    if not ok:
+        raise InternalCheckError(f"ultrafilter groupoid invalid: {msg}")
+    return sigma_prime, ultra, rep_list
+
+
+def ultrafilter_groupoid(ctx, guard: int = SCAN_GUARD):
+    """Groupoid of ultrafilters together with its quotient by unit scaling,
+    orbit pair by orbit pair.  Returns (sigma_prime, g_prime, info)."""
+    g = ctx.groupoid
+    r = ctx.ring
+    sigma_prime, ultra, rep_list = build_sigma_prime(ctx, guard)
+    index = {n: i for i, n in enumerate(rep_list)}
+    runits = r.units()
+    info = {
+        "ultra": ultra,
+        "rep_list": rep_list,
+        "index": index,
+        "normalizer_count": len(ultra.nonzero),
+        "ultrafilter_count": len(rep_list),
+    }
+    orbit_of = {}
+    orbits = []
+    for i, n in enumerate(rep_list):
+        if i in orbit_of:
+            continue
+        orb = []
+        for t in runits:
+            j = index.get(n.scale(t))
+            if j is None:
+                info["scaling_closed"] = False
+                return sigma_prime, None, info
+            if j not in orbit_of:
+                orbit_of[j] = len(orbits)
+                orb.append(j)
+        orbits.append(sorted(orb))
+    info["scaling_closed"] = True
+    info["orbit_of"] = orbit_of
+    info["orbits"] = orbits
+    unit_orbits = sorted({orbit_of[u] for u in range(g.n_units)})
+    reorder = unit_orbits + [o for o in range(len(orbits)) if o not in unit_orbits]
+    pos = {o: i for i, o in enumerate(reorder)}
+    info["pos"] = pos
+    q_total = len(orbits)
+    q_src = np.zeros(q_total, dtype=np.int64)
+    q_tgt = np.zeros(q_total, dtype=np.int64)
+    q_comp = -np.ones((q_total, q_total), dtype=np.int64)
+    q_inv = np.zeros(q_total, dtype=np.int64)
+    for o_idx, orb in enumerate(orbits):
+        i = orb[0]
+        q_src[pos[o_idx]] = pos[orbit_of[int(sigma_prime.src[i])]]
+        q_tgt[pos[o_idx]] = pos[orbit_of[int(sigma_prime.tgt[i])]]
+        q_inv[pos[o_idx]] = pos[orbit_of[int(sigma_prime.inv[i])]]
+    well_defined = True
+    for o1, orb1 in enumerate(orbits):
+        for o2, orb2 in enumerate(orbits):
+            results = set()
+            for i in orb1:
+                for j in orb2:
+                    c = sigma_prime.comp[i, j]
+                    if c >= 0:
+                        results.add(orbit_of[int(c)])
+            if len(results) > 1:
+                well_defined = False
+            if results:
+                q_comp[pos[o1], pos[o2]] = pos[results.pop()]
+    info["quotient_well_defined"] = well_defined
+    quotient = Groupoid(len(unit_orbits), q_src, q_tgt, q_comp, q_inv,
+                        label=f"quotient({ctx.label})")
+    ok, msg = quotient.validate()
+    info["quotient_valid"] = ok
+    if not ok:
+        info["quotient_violation"] = msg
+        return sigma_prime, None, info
+    return sigma_prime, quotient, info
+
+
+def phi_check(ctx, guard: int = SCAN_GUARD) -> dict:
+    """The reconstruction report with every comparison as a loop: the arrow
+    map phi pair by pair, the support sets from the up-sets, and the twist
+    over all (t, gamma), (t2, eta)."""
+    g = ctx.groupoid
+    r = ctx.ring
+    sigma_prime, quotient, info = ultrafilter_groupoid(ctx, guard)
+    ultra = info["ultra"]
+    rep_list = info["rep_list"]
+    index = info["index"]
+    runits = r.units()
+    report = {
+        "normalizer_count": info["normalizer_count"],
+        "ultrafilter_count": info["ultrafilter_count"],
+        "expected_total_size": len(runits) * g.num_arrows,
+        "total_size_matches": info["ultrafilter_count"] == len(runits) * g.num_arrows,
+        "scaling_closed": info["scaling_closed"],
+    }
+    if not info["scaling_closed"]:
+        return report
+    orbit_of = info["orbit_of"]
+    orbits = info["orbits"]
+    pos = info["pos"]
+    report["orbit_count"] = len(orbits)
+    report["quotient_well_defined"] = info["quotient_well_defined"]
+    report["quotient_valid"] = info["quotient_valid"]
+    if quotient is None:
+        report["quotient_violation"] = info.get("quotient_violation")
+        return report
+    q_total = len(orbits)
+    # arrow-level comparison: gamma -> orbit of up(delta_gamma)
+    phi = {}
+    injective = True
+    for a in range(g.num_arrows):
+        da = ctx.delta(a)
+        j = index.get(da)
+        if j is None:
+            report["arrow_map_total"] = False
+            return report
+        phi[a] = pos[orbit_of[j]]
+    report["arrow_map_total"] = True
+    if len(set(phi.values())) != g.num_arrows or q_total != g.num_arrows:
+        injective = False
+    units_ok = all(phi[u] == u for u in g.units())
+    homo = True
+    for a in range(g.num_arrows):
+        for b in range(g.num_arrows):
+            c = g.comp[a, b]
+            qc = quotient.comp[phi[a], phi[b]]
+            if (c >= 0) != (qc >= 0):
+                homo = False
+            elif c >= 0 and phi[int(c)] != int(qc):
+                homo = False
+    report["arrow_map_bijective"] = injective
+    report["arrow_map_units"] = units_ok
+    report["arrow_map_homomorphism"] = homo
+    report["groupoid_isomorphic"] = injective and units_ok and homo
+    # support sets: {n : n(gamma) != 0} must be the union of the orbit's up-sets
+    support_sets_ok = True
+    for a in range(g.num_arrows):
+        sa = {n for n in ultra.nonzero if n.value(a) != r.zero}
+        j = index[ctx.delta(a)]
+        orb = orbits[orbit_of[j]]
+        union = set()
+        for i in orb:
+            union |= ultra.up_set(rep_list[i])
+        if sa != union:
+            support_sets_ok = False
+            break
+    report["support_sets_match"] = support_sets_ok
+    # twist level: (t, gamma) -> up(t delta_gamma) against the twisted product
+    twist_ok = True
+    for t in runits:
+        for a in range(g.num_arrows):
+            for t2 in runits:
+                for b in range(g.num_arrows):
+                    c = g.comp[a, b]
+                    i = index.get(ctx.delta(a).scale(t))
+                    j = index.get(ctx.delta(b).scale(t2))
+                    if i is None or j is None:
+                        twist_ok = False
+                        break
+                    sc = sigma_prime.comp[i, j]
+                    if (c >= 0) != (sc >= 0):
+                        twist_ok = False
+                        continue
+                    if c < 0:
+                        continue
+                    tv = r.mul(r.mul(t, t2), ctx.cocycle.omega(a, b))
+                    expected = index.get(ctx.delta(int(c)).scale(tv))
+                    if expected is None or int(sc) != expected:
+                        twist_ok = False
+    report["twist_squares_match"] = twist_ok
+    report["reconstructed"] = (report["total_size_matches"]
+                               and report["groupoid_isomorphic"]
+                               and support_sets_ok and twist_ok)
+    return report

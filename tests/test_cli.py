@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -192,6 +193,40 @@ def test_obstruct_honours_guard_dim(capsys):
     rep = json.loads(out)
     assert rep["error"] == "guard-exceeded"
     assert "measured 12 exceeds guard 10" in rep["message"]
+
+
+def run_capped(argv):
+    """The CLI in a child process with its address space capped at 2 GB, so
+    that a scan listing every residue of a huge ring fails fast instead of
+    exhausting the machine's memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    proc = subprocess.run([sys.executable, "-m", "cartan_lab.cli", *argv],
+                          capture_output=True, text=True, preexec_fn=cap, timeout=120)
+    return proc.returncode, proc.stdout
+
+
+P31 = 2 ** 31 - 1
+
+
+@pytest.mark.parametrize("command, job, ring, message", [
+    # the p + p^2 diagonal families are counted from the modulus, not listed
+    pytest.param("obstruct", "18-z2-f3-obstruct", f"F{P31}",
+                 f"diagonal family scan: measured {P31 + P31 ** 2} exceeds guard 3000000",
+                 id="obstruct"),
+    # the WT scan runs over every residue of Z/m
+    pytest.param("classify", "01-z6-wt-classify", "Z1000000000000",
+                 "Z/m residue scan: measured 1000000000000 exceeds guard 3000000",
+                 id="classify"),
+])
+def test_huge_modulus_is_refused(tmp_path, command, job, ring, message):
+    data = json.loads((CORPUS / f"{job}.json").read_text())
+    data["context"]["ring"] = ring
+    code, out = run_capped([command, "--context", write_ctx(tmp_path, data)])
+    assert code == 3
+    rep = json.loads(out)
+    assert rep["error"] == "guard-exceeded"
+    assert rep["message"] == message
 
 
 def test_average_honours_guard_dim(capsys):

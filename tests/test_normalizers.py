@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -488,12 +489,44 @@ def test_reconstruction_pair4_f3_past_the_scan_guard():
 
 
 def test_reconstruction_quotient_shape(pair3_f2):
-    sigma_prime, quotient, info = nz.ultrafilter_groupoid(pair3_f2)
-    assert quotient is not None
-    ok, msg = quotient.validate()
-    assert ok, msg
-    assert quotient.num_arrows == pair3_f2.groupoid.num_arrows
-    assert info["quotient_well_defined"]
+    rep = nz.phi_check(pair3_f2)
+    assert rep["orbit_count"] == pair3_f2.groupoid.num_arrows
+    assert rep["quotient_valid"]
+    assert rep["quotient_well_defined"]
+
+
+# the contexts where the ultrafilters outnumber R^x x G (group algebras,
+# attached isotropy) report support_sets_match and arrow_map_bijective False
+@pytest.mark.parametrize("name", ORACLE_CONTEXTS + ["pair2/F3", "pair4/F2", "z2/F5", "klein/F3"])
+def test_phi_check_matches_the_loop_oracle(name):
+    """Endpoints off the corner, products only over matched endpoints, and
+    the array comparisons give the report of the pairwise loops."""
+    ctx = oracle_context(name)
+    assert nz.phi_check(ctx) == oracle.phi_check(ctx)
+
+
+def _with_swapped_products(build):
+    """build_sigma_prime with the products delta_1 delta_1 and delta_1 (2 delta_1)
+    of Z2 over F3 exchanged: the quotient by scaling cannot see the swap, the
+    twist can."""
+    def swapped(ctx, guard=nz.SCAN_GUARD):
+        sigma_prime, ultra, rep_list = build(ctx, guard)
+        a, b = rep_list.index(ctx.delta(1)), rep_list.index(ctx.delta(1, 2))
+        comp = sigma_prime.comp.copy()
+        comp[a, a], comp[a, b] = comp[a, b], comp[a, a]
+        return dataclasses.replace(sigma_prime, comp=comp), ultra, rep_list
+    return swapped
+
+
+def test_swapped_products_fail_the_twist_comparison(z2_f3, monkeypatch):
+    monkeypatch.setattr(nz, "build_sigma_prime", _with_swapped_products(nz.build_sigma_prime))
+    monkeypatch.setattr(oracle, "build_sigma_prime",
+                        _with_swapped_products(oracle.build_sigma_prime))
+    rep = nz.phi_check(z2_f3)
+    assert rep == oracle.phi_check(z2_f3)
+    assert rep["groupoid_isomorphic"] and rep["support_sets_match"]
+    assert not rep["twist_squares_match"]
+    assert not rep["reconstructed"]
 
 
 # -- batched linear algebra --------------------------------------------------
