@@ -24,16 +24,18 @@ def rref_mod_p(mat: np.ndarray, p: int):
     for c in range(cols):
         if r >= rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        # any nonzero pivot row will do: the reduced echelon form is unique
+        pr = r + int(m[r:, c].argmax())
+        if not m[pr, c]:
             continue
-        pr = r + nz[0]
         if pr != r:
             m[[r, pr]] = m[[pr, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
-        for rr in range(rows):
-            if rr != r and m[rr, c]:
-                m[rr] = (m[rr] - m[rr, c] * m[r]) % p
+        # rows r and below are zero left of c, so only columns c: change; one
+        # broadcast update clears column c, rows that are zero there subtract 0
+        m[r, c:] = m[r, c:] * pow(int(m[r, c]), -1, p) % p
+        factors = m[:, c].copy()
+        factors[r] = 0
+        m[:, c:] = (m[:, c:] - factors[:, None] * m[r, c:]) % p
         pivots.append(c)
         r += 1
     return m, pivots

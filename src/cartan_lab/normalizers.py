@@ -20,8 +20,17 @@ corner: in closed form for a one-arrow block, otherwise by the linear solve
 x y = delta_v, y x = delta_w over that corner.  Checking those two products
 is the whole certificate.  It also follows that kn and nk are the indicators
 of the source and target units of supp n, which gives freeness in closed
-form.  Enumeration scans only the corners, and the sums are assembled
-without a further solve.
+form.
+
+The partner is unique, so n -> dagger n is an involution, and on the corner
+units it is a bijection from those of C_{v,w} onto those of C_{w,v}: a
+certificate (x, y) read the other way round certifies y with partner x.
+Enumeration lists the monic units (first coordinate 1), and the monic form
+of y is y / c with partner c x, for c the first coordinate of y.  So it
+scans one corner of each opposite pair, takes the units of the other corner
+from the partners, and in an isotropy corner C_{v,v}, where the involution
+pairs each monic unit with the monic form of its inverse, certifies one unit
+of each inverse pair.  The sums are assembled without a further solve.
 
 The blocks also give the order n <= m, n = m 1_S for a set S of units, that
 reconstruction reads ultrafilters from: right multiplication by 1_S keeps the
@@ -104,18 +113,27 @@ def dagger_closed_form(ctx: Context, n: El) -> El | None:
 
 def _block_partner(ctx: Context, x: El, v: int, w: int, opposite: Basis | None):
     """The y in span(opposite), the corner C_{w,v}, with x y = delta_v and
-    y x = delta_w, or None."""
+    y x = delta_w, or None.
+
+    With y = sum_j c_j K_j over the rows K_j of opposite, the products x K_j
+    lie in C_{v,v} and K_j x in C_{w,w}, so the system keeps only the rows of
+    the arrows of vGv and wGw: one batched convolution on each side builds
+    it, and the partner is one sum of the rows, each product reduced."""
     if opposite is None:
         return None
     if len(x.coeffs) == 1:
         y = dagger_closed_form(ctx, x)
         return y if y is not None and opposite.contains(y) else None
+    g = ctx.groupoid
+    at_v = np.flatnonzero((g.src == v) & (g.tgt == v))
+    at_w = np.flatnonzero((g.src == w) & (g.tgt == w))
     xv = ctx.vec(x)
-    cols = [np.concatenate([ctx.conv_vec(xv, cv), ctx.conv_vec(cv, xv)])
-            for cv in map(ctx.vec, opposite.rows)]
-    rhs = np.concatenate([ctx.vec(ctx.delta(v)), ctx.vec(ctx.delta(w))])
-    sol = ctx.solve(np.stack(cols, axis=1), rhs)
-    return None if sol is None else ctx.combination(sol, opposite.rows)
+    k = np.array([ctx.vec(row) for row in opposite.rows])
+    mat = np.concatenate([ctx.conv_single_batch(xv, k)[:, at_v],
+                          ctx.conv_batch_single(k, xv)[:, at_w]], axis=1).T
+    rhs = np.concatenate([ctx.vec(ctx.delta(v))[at_v], ctx.vec(ctx.delta(w))[at_w]])
+    sol = ctx.solve(mat, rhs)
+    return None if sol is None else ctx.el_of_vec(ctx.combine_rows(sol, k))
 
 
 def is_normalizer(ctx: Context, n: El, c_basis: Basis | None = None):
@@ -201,30 +219,60 @@ def _batched_mask(ctx: Context, c_rows, k_rows):
     return cands, mask
 
 
+def _monic_mate(x: El, y: El) -> tuple:
+    """For a corner unit x with partner y, the monic form of y with its
+    partner: (y / c, c x) for c the first coordinate of y, its value at
+    min(supp y), which the reduced echelon rows make the leading pivot."""
+    c = y.coeffs[min(y.coeffs)]
+    return y.scale(x.ctx.ring.try_inv(c)), x.scale(c)
+
+
 def _corner_units(ctx: Context, basis: Basis) -> dict:
     """The normalizers that lie in one corner, as {w: [(v, scaled)]}: scaled
     lists (lam x, lam^-1 y) as coefficient dicts for lam in ring.units(), with
     x monic in C_{v,w} and y its partner in C_{w,v}, so scaled[0] is (x, y).
-    A corner element's partner lies in the opposite corner, so each corner
-    runs the batched test against that corner alone; every survivor is
-    certified."""
+    Corners come in sorted order, units in candidate order.
+
+    A corner runs the batched test against its opposite corner alone, and
+    its survivors are certified.  By the partner map (module docstring) only
+    the first corner of each opposite pair is scanned; the units of the other
+    are the mates of its units.  In an isotropy corner a survivor that is the
+    mate of an earlier one is not certified again, and a mate the batched
+    test did not pass raises InternalCheckError."""
     r = ctx.ring
-    lams = r.units()
+    scalings = [(lam, r.try_inv(lam)) for lam in r.units()]
     corners = corner_bases(basis)
-    units: dict = {}
+    found: dict = {}
     for (v, w), corner in sorted(corners.items()):
         opposite = corners.get((w, v))
-        if opposite is None:
+        if opposite is None or (v, w) in found:
             continue
         cands, mask = _batched_mask(ctx, corner.rows, opposite.rows)
+        pairs, mates = [], {}
         for i in np.nonzero(mask)[0]:
-            cert = is_normalizer(ctx, ctx.el_of_vec(cands[i]), basis)
+            x = ctx.el_of_vec(cands[i])
+            if x in mates:
+                pairs.append(mates.pop(x))
+                continue
+            cert = is_normalizer(ctx, x, basis)
             if cert is None:
                 raise InternalCheckError("batched prefilter and exact solve disagree")
-            x, y = cert.n.coeffs, cert.dagger.coeffs
-            scaled = [({a: r.mul(lam, c) for a, c in x.items()},
-                       {a: r.mul(r.try_inv(lam), c) for a, c in y.items()})
-                      for lam in lams]
+            pairs.append((x, cert.dagger))
+            mate = _monic_mate(x, cert.dagger)
+            if mate[0] != x:
+                mates[mate[0]] = mate
+        found[(v, w)] = pairs
+        if v != w:
+            found[(w, v)] = sorted(mates.values(), key=lambda xy: tuple(
+                xy[0].value(piv) for piv in opposite.pivots))
+        elif mates:
+            raise InternalCheckError("an isotropy mate did not pass the batched prefilter")
+    units: dict = {}
+    for (v, w), pairs in sorted(found.items()):
+        for x, y in pairs:
+            scaled = [({a: r.mul(lam, c) for a, c in x.coeffs.items()},
+                       {a: r.mul(inv, c) for a, c in y.coeffs.items()})
+                      for lam, inv in scalings]
             units.setdefault(w, []).append((v, scaled))
     return units
 

@@ -5,8 +5,8 @@ A Context bundles groupoid + ring + cocycle.  Sparse convolution
 through the composition table, taking omega(a, b) from the cocycle table (1
 where the pair is missing).  The dense path precomputes the composable pairs
 (a, b), their products and omega(a, b) once, so that conv_vec is a single
-scatter-add over them; prime-field contexts also expose batched versions used
-by the normalizer scan.
+scatter-add over them, with batched versions (one factor a stack of rows) for
+the normalizer scan and the block partner solve.
 
 Elements are sparse dicts {arrow: coefficient} with zeros purged, so
 structural equality is mathematical equality.  Dense vectors and the exact
@@ -96,14 +96,20 @@ class Context:
     def el_of_vec(self, v) -> "El":
         return El(self, {int(a): v[a] for a in np.nonzero(v)[0]})
 
+    def _mul(self, x, y):
+        """Elementwise product; over F_p reduced at once, since int64 holds
+        (p-1)^2 but not (p-1)^3."""
+        return x * y % self.p if self.is_fp else x * y
+
+    def _scatter(self, prod: np.ndarray) -> np.ndarray:
+        """Sum a (B, pairs) array of pair products onto their product arrows."""
+        out = np.zeros((prod.shape[0], self.dim), dtype=self._dtype)
+        np.add.at(out, (np.arange(prod.shape[0])[:, None], self._C[None, :]), prod)
+        return out % self.p if self.is_fp else out
+
     def conv_vec(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         out = np.zeros(self.dim, dtype=self._dtype)
-        if self.is_fp:
-            # reduce after each product: int64 holds (p-1)^2, not (p-1)^3
-            prod = self._W * f[self._A] % self.p * g[self._B] % self.p
-        else:
-            prod = self._W * f[self._A] * g[self._B]
-        np.add.at(out, self._C, prod)
+        np.add.at(out, self._C, self._mul(self._mul(self._W, f[self._A]), g[self._B]))
         return out % self.p if self.is_fp else out
 
     def solve(self, mat, rhs):
@@ -118,6 +124,12 @@ class Context:
             return exactlin.nullspace_mod_p(mat, self.p)
         return exactlin.nullspace_frac(mat)
 
+    def combine_rows(self, coeffs, mat: np.ndarray) -> np.ndarray:
+        """sum_j coeffs[j] mat[j] as a dense vector, each product reduced
+        before the sum."""
+        out = self._mul(np.asarray(coeffs, dtype=self._dtype)[:, None], mat).sum(axis=0)
+        return out % self.p if self.is_fp else out
+
     def combination(self, coeffs, rows) -> "El":
         """sum_j coeffs[j] rows[j]; extra coefficients are ignored."""
         out = self.zero()
@@ -128,25 +140,16 @@ class Context:
 
     def conv_batch(self, F: np.ndarray, G: np.ndarray) -> np.ndarray:
         """Row-wise convolution of two (B, dim) batches."""
-        nb = F.shape[0]
-        out = np.zeros((nb, self.dim), dtype=np.int64)
-        prod = (self._W[None, :] * F[:, self._A] % self.p) * G[:, self._B] % self.p
-        np.add.at(out, (np.arange(nb)[:, None], self._C[None, :]), prod)
-        return out % self.p
+        return self._scatter(self._mul(self._mul(self._W[None, :], F[:, self._A]),
+                                       G[:, self._B]))
 
     def conv_batch_single(self, F: np.ndarray, g: np.ndarray) -> np.ndarray:
-        nb = F.shape[0]
-        out = np.zeros((nb, self.dim), dtype=np.int64)
-        prod = F[:, self._A] * (self._W * g[self._B] % self.p)[None, :] % self.p
-        np.add.at(out, (np.arange(nb)[:, None], self._C[None, :]), prod)
-        return out % self.p
+        """Row-wise F[i] g."""
+        return self._scatter(self._mul(F[:, self._A], self._mul(self._W, g[self._B])[None, :]))
 
     def conv_single_batch(self, f: np.ndarray, G: np.ndarray) -> np.ndarray:
-        nb = G.shape[0]
-        out = np.zeros((nb, self.dim), dtype=np.int64)
-        prod = (self._W * f[self._A] % self.p)[None, :] * G[:, self._B] % self.p
-        np.add.at(out, (np.arange(nb)[:, None], self._C[None, :]), prod)
-        return out % self.p
+        """Row-wise f G[i]."""
+        return self._scatter(self._mul(self._mul(self._W, f[self._A])[None, :], G[:, self._B]))
 
     # -- core operations -----------------------------------------------------
 

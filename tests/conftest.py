@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from cartan_lab import coeff
@@ -44,6 +46,12 @@ def k2xz2_bicharacter(g, ring):
     return twist.Cocycle(g, ring, table)
 
 
+@functools.cache
+def largest_allowed_prime():
+    """The largest prime the int64 backend admits (coeff.MAX_PRIME_MODULUS)."""
+    return next(q for q in range(coeff.MAX_PRIME_MODULUS, 1, -1) if coeff._is_prime(q))
+
+
 def oracle_context(name):
     """The small contexts the fast paths are checked against brute force on."""
     f2, f3, f5 = (coeff.Ring(coeff.PRIME_FIELD, p) for p in (2, 3, 5))
@@ -64,6 +72,8 @@ def oracle_context(name):
         "sign_flip(2)/Q": lambda: make_context(gpd.sign_flip_groupoid(2), q),
         "z3/F5": lambda: make_context(gpd.from_group(gpd.cyclic_table(3)), f5),
         "k2xz2/F3": lambda: make_context(k2xz2, f3),
+        "k2xz2/Q": lambda: make_context(k2xz2, q),
+        "k2xz2/Q twisted": lambda: Context(k2xz2, q, k2xz2_bicharacter(k2xz2, q)),
         "k2xz2/F3 twisted": lambda: Context(k2xz2, f3, k2xz2_bicharacter(k2xz2, f3)),
         "klein/F3": lambda: make_context(klein, f3),
         "klein/F3 twisted": lambda: Context(klein, f3, klein_bicharacter(klein, f3)),

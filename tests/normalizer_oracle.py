@@ -7,10 +7,11 @@ them on small contexts.
 
 import numpy as np
 
+from cartan_lab import normalizers as nz
 from cartan_lab.errors import GuardExceeded, InputError, InternalCheckError
 from cartan_lab.groupoid import Groupoid
 from cartan_lab.normalizers import SCAN_GUARD, NormalizerCert, UltraStructure
-from cartan_lab.steinberg import full_algebra_basis
+from cartan_lab.steinberg import corner_bases, full_algebra_basis
 
 
 def verify_cert(cert: NormalizerCert, c_basis=None) -> bool:
@@ -42,6 +43,31 @@ def exhaustive_partners(ctx, n, c_basis=None, guard: int = 200_000):
     if count > guard:
         raise GuardExceeded("exhaustive partner scan", count, guard)
     return [k for k in basis.elements() if verify_cert(NormalizerCert(n, k))]
+
+
+def corner_units(ctx, basis) -> dict:
+    """The corner units of the span as normalizers._corner_units returns
+    them, with every corner scanned and every survivor certified on its own:
+    no partner map, no mates."""
+    r = ctx.ring
+    lams = r.units()
+    corners = corner_bases(basis)
+    units: dict = {}
+    for (v, w), corner in sorted(corners.items()):
+        opposite = corners.get((w, v))
+        if opposite is None:
+            continue
+        cands, mask = nz._batched_mask(ctx, corner.rows, opposite.rows)
+        for i in np.nonzero(mask)[0]:
+            cert = nz.is_normalizer(ctx, ctx.el_of_vec(cands[i]), basis)
+            if cert is None:
+                raise InternalCheckError("batched prefilter and exact solve disagree")
+            x, y = cert.n.coeffs, cert.dagger.coeffs
+            scaled = [({a: r.mul(lam, c) for a, c in x.items()},
+                       {a: r.mul(r.try_inv(lam), c) for a, c in y.items()})
+                      for lam in lams]
+            units.setdefault(w, []).append((v, scaled))
+    return units
 
 
 def leq(n, m) -> bool:

@@ -5,18 +5,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cartan_lab import coeff, exactlin
 from cartan_lab import groupoid as gpd
 from cartan_lab import normalizers as nz
-from cartan_lab.errors import GuardExceeded, InputError
+from cartan_lab.errors import GuardExceeded, InputError, InternalCheckError
 from cartan_lab.inclusions import diagonal_basis, subgroupoid_algebra
 from cartan_lab.steinberg import (Context, algebra_closure, corner_bases, full_algebra_basis,
                                   span_closure)
 
 import normalizer_oracle as oracle
 from conftest import (KLEIN_TABLE, ORACLE_CONTEXTS, arrow_between, klein_bicharacter,
-                      make_context, oracle_context)
+                      largest_allowed_prime, make_context, oracle_context)
 
 
 # -- certificates and daggers ------------------------------------------------
@@ -279,6 +280,78 @@ def test_block_certifier_matches_full_system_on_a_bimodule(k2xz2_f3):
             assert got.dagger == want.dagger, n
 
 
+def _rational_grid_block(ctx, arrows):
+    """a delta_g + b delta_h for two parallel arrows g, h and a, b from a
+    small grid of rationals."""
+    vals = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]
+    g, h = arrows
+    return [ctx.delta(g, a) + ctx.delta(h, b) for a in vals for b in vals]
+
+
+@pytest.mark.parametrize("name", ["k2xz2/Q", "k2xz2/Q twisted", "sign_flip(2)/Q"])
+def test_block_certifier_over_rationals_on_multi_arrow_blocks(name):
+    """The batched convolutions and the partner sum on the Fraction backend:
+    two-arrow blocks in every corner that has two arrows."""
+    ctx = oracle_context(name)
+    g = ctx.groupoid
+    full = full_algebra_basis(ctx)
+    corners = [g.arrows_between(v, w) for v in g.units() for w in g.units()]
+    outcomes = set()
+    for arrows in corners:
+        if len(arrows) != 2:
+            continue
+        for n in _rational_grid_block(ctx, arrows):
+            got = nz.is_normalizer(ctx, n)
+            want = reference_is_normalizer(ctx, n, full)
+            assert (got is None) == (want is None), n
+            if got is not None:
+                assert got.dagger == want.dagger, n
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+@pytest.fixture(scope="module")
+def widest_borel():
+    """A Borel subalgebra of the twisted Klein algebra over the largest
+    allowed prime, with its idempotent.  The algebra is the split
+    quaternions, i^2 = j^2 = 1, k^2 = -1, so M_2(F_p); span{1, e, n} for
+    e = (1 + i)/2 and n = j - k is upper triangular, and conjugating it by
+    u = 1 + 2i + 3j + 5k gives reduced echelon rows with large residues that
+    share the arrow 3."""
+    r = coeff.Ring(coeff.PRIME_FIELD, largest_allowed_prime())
+    g = gpd.from_group(KLEIN_TABLE)
+    ctx = Context(g, r, klein_bicharacter(g, r))
+    u = ctx.element({0: 1, 1: 2, 2: 3, 3: 5})
+    u_inv = ctx.element({0: 1, 1: -2, 2: -3, 3: -5}).scale(r.try_inv(13))   # u conj(u) = 13
+    half = r.try_inv(2)
+    idempotent = u * ctx.element({0: half, 1: half}) * u_inv
+    c = algebra_closure(ctx, [idempotent, u * ctx.element({2: 1, 3: -1}) * u_inv])
+    assert c.pivots == [0, 1, 2] and all(row.value(3) > 1 for row in c.rows[1:])
+    return ctx, c, idempotent
+
+
+def test_block_certifier_at_the_largest_prime_sees_both_outcomes(widest_borel):
+    ctx, c, idempotent = widest_borel
+    assert nz.is_normalizer(ctx, idempotent, c) is None
+    assert nz.is_normalizer(ctx, ctx.one(), c).dagger == ctx.one()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_block_certifier_matches_full_system_at_the_largest_prime(widest_borel, data):
+    # residues near p meet in the system, the solve and the partner sum,
+    # where two rows add their products at the arrow 3
+    ctx, c, _ = widest_borel
+    p = ctx.p
+    residue = st.sampled_from([0, 1, 2, p - 2, p - 1]) | st.integers(0, p - 1)
+    n = ctx.combination([data.draw(residue) for _ in c.rows], c.rows)
+    got = nz.is_normalizer(ctx, n, c)
+    want = reference_is_normalizer(ctx, n, c)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.dagger == want.dagger
+
+
 def test_is_normalizer_refuses_a_non_bimodule(pair3_f3):
     gamma = arrow_between(pair3_f3.groupoid, 0, 1)
     n = pair3_f3.delta(0) + pair3_f3.delta(gamma)
@@ -298,6 +371,8 @@ def test_free_closed_form_matches_products(name):
 
 
 def test_corner_scan_prefilters_one_candidate_per_corner(pair3_f3, monkeypatch):
+    # the 3 unit corners and one corner of each of the 3 opposite pairs; the
+    # other corner of a pair takes its units from the partners
     seen = []
     batch = exactlin.batch_solvable_mod_p
 
@@ -307,8 +382,57 @@ def test_corner_scan_prefilters_one_candidate_per_corner(pair3_f3, monkeypatch):
 
     monkeypatch.setattr(exactlin, "batch_solvable_mod_p", counting)
     certs = nz.enumerate_normalizers(pair3_f3)
-    assert sum(seen) == 9
+    assert sum(seen) == 6
     assert len(certs) == 139
+
+
+def test_isotropy_corner_certifies_one_unit_per_inverse_pair(monkeypatch):
+    # F5[Z5] is local with 2,500 units, 625 of them monic; the monic units are
+    # coset representatives of the unit group mod F5^x, a group of odd order
+    # 625, so only the identity is its own mate: (625 + 1) / 2 inverse pairs
+    ctx = make_context(gpd.from_group(gpd.cyclic_table(5)), coeff.Ring(coeff.PRIME_FIELD, 5))
+    calls = []
+    certify = nz.is_normalizer
+
+    def counting(*args):
+        calls.append(1)
+        return certify(*args)
+
+    monkeypatch.setattr(nz, "is_normalizer", counting)
+    certs = nz.enumerate_normalizers(ctx)
+    assert len(certs) == 1 + 2500
+    assert len(calls) == 313
+
+
+@pytest.mark.parametrize("name", ORACLE_CONTEXTS + ["pair2/F3", "pair4/F2", "z2/F5", "klein/F3"])
+def test_partner_map_pairing_matches_the_full_corner_scan(name, monkeypatch):
+    """One corner of each opposite pair and one unit of each isotropy inverse
+    pair give the corner units, and the normalizers, of scanning and
+    certifying every corner."""
+    ctx = oracle_context(name)
+    for c in _oracle_spans(ctx):
+        assert nz._corner_units(ctx, c) == oracle.corner_units(ctx, c)
+        got = nz.enumerate_normalizers(ctx, c)
+        with monkeypatch.context() as m:
+            m.setattr(nz, "_corner_units", oracle.corner_units)
+            want = nz.enumerate_normalizers(ctx, c)
+        assert [(x.n, x.dagger) for x in got] == [(x.n, x.dagger) for x in want]
+
+
+def test_a_mate_the_prefilter_drops_is_caught(z3_f5, monkeypatch):
+    # delta_2 = (0, 0, 1) comes before delta_1 = (0, 1, 0) in candidate order,
+    # and its mate is delta_1; a prefilter that loses delta_1 is a false negative
+    ctx = z3_f5
+    batched = nz._batched_mask
+    lost = ctx.vec(ctx.delta(1))
+
+    def dropping(ctx, c_rows, k_rows):
+        cands, mask = batched(ctx, c_rows, k_rows)
+        return cands, mask & ~(cands == lost).all(axis=1)
+
+    monkeypatch.setattr(nz, "_batched_mask", dropping)
+    with pytest.raises(InternalCheckError):
+        nz.enumerate_normalizers(ctx)
 
 
 def test_corner_bases_partition_the_span(pair3_f3, z3_f5):
@@ -553,6 +677,47 @@ def test_batch_solvable_matches_brute_force():
                     brute = True
                     break
             assert got[i] == brute
+
+
+def _rref_mod_p_row_by_row(mat, p):
+    """rref_mod_p as it was before its updates were batched per pivot column:
+    one Python step per row to clear."""
+    m = np.array(mat, dtype=np.int64) % p
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz_rows = np.nonzero(m[r:, c])[0]
+        if nz_rows.size == 0:
+            continue
+        pr = r + nz_rows[0]
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
+        for rr in range(rows):
+            if rr != r and m[rr, c]:
+                m[rr] = (m[rr] - m[rr, c] * m[r]) % p
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rref_mod_p_matches_the_row_by_row_loop_at_the_largest_prime(data):
+    p = largest_allowed_prime()
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 7))
+    residue = st.sampled_from([0, 0, 1, p - 2, p - 1]) | st.integers(0, p - 1)
+    mat = np.array(data.draw(st.lists(st.lists(residue, min_size=cols, max_size=cols),
+                                      min_size=rows, max_size=rows)), dtype=np.int64)
+    if rows > 2 and data.draw(st.booleans()):
+        mat[-1] = (mat[0] + (p - 1) * mat[1]) % p   # rank deficient
+    red, pivots = exactlin.rref_mod_p(mat, p)
+    want, want_pivots = _rref_mod_p_row_by_row(mat, p)
+    assert pivots == want_pivots
+    assert np.array_equal(red, want)
 
 
 def test_rref_mod_p_agrees_with_fraction_rref_at_a_large_prime():

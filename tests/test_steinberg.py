@@ -12,8 +12,8 @@ from cartan_lab.steinberg import (Basis, Context, algebra_closure, context_from_
                                   decompose_bisections, el_from_json, full_algebra_basis,
                                   intersect_spans, is_bisection, span_closure)
 
-from conftest import (KLEIN_TABLE, ORACLE_CONTEXTS, klein_bicharacter, make_context,
-                      oracle_context)
+from conftest import (KLEIN_TABLE, ORACLE_CONTEXTS, klein_bicharacter, largest_allowed_prime,
+                      make_context, oracle_context)
 
 
 def test_convolution_associative_on_all_basis_triples(pair3_f3):
@@ -86,24 +86,29 @@ def test_vec_bridge_matches_sparse_convolution(pair3_f3):
         assert via_vec == direct
 
 
-@pytest.mark.parametrize("name", ["klein/F3 twisted", "k2xz2/F3 twisted"])
+@pytest.mark.parametrize("name", ["klein/F3 twisted", "k2xz2/F3 twisted", "k2xz2/Q twisted"])
 def test_vec_bridge_matches_twisted_convolution(name):
     ctx = oracle_context(name)
     rng = random.Random(13)
     for _ in range(20):
         f, g_ = ctx.random_element(rng), ctx.random_element(rng)
         assert ctx.el_of_vec(ctx.conv_vec(ctx.vec(f), ctx.vec(g_))) == ctx.convolve(f, g_)
-
-
-def _largest_allowed_prime():
-    return next(q for q in range(coeff.MAX_PRIME_MODULUS, 1, -1) if coeff._is_prime(q))
+    # the batched forms, one factor a stack of rows, on either backend
+    f = ctx.random_element(rng)
+    rows = [ctx.random_element(rng) for _ in range(3)]
+    stack = np.array([ctx.vec(row) for row in rows])
+    left = ctx.conv_single_batch(ctx.vec(f), stack)
+    right = ctx.conv_batch_single(stack, ctx.vec(f))
+    for i, row in enumerate(rows):
+        assert ctx.el_of_vec(left[i]) == ctx.convolve(f, row)
+        assert ctx.el_of_vec(right[i]) == ctx.convolve(row, f)
 
 
 @pytest.fixture(scope="module")
 def widest_contexts():
     """pair(3) and the twisted Klein group over the largest allowed prime,
     where residues and omega = -1 = p - 1 reach the int64 bound."""
-    r = coeff.Ring(coeff.PRIME_FIELD, _largest_allowed_prime())
+    r = coeff.Ring(coeff.PRIME_FIELD, largest_allowed_prime())
     klein = gpd.from_group(KLEIN_TABLE)
     return [make_context(gpd.pair_groupoid(3), r), Context(klein, r, klein_bicharacter(klein, r))]
 
