@@ -16,7 +16,7 @@ from .errors import GuardExceeded, InputError, InternalCheckError
 from .steinberg import (Basis, Context, El, algebra_closure, full_algebra_basis,
                         intersect_spans, is_bisection, span_closure)
 from .normalizers import (SCAN_GUARD, NormalizerCert, enumerate_normalizers,
-                          is_free_normalizer)
+                          is_free_normalizer, normalizer_count)
 
 QC_VERDICTS = ("AQP", "ACP", "ADP")
 
@@ -152,12 +152,13 @@ def classify(ctx: Context, c_basis: Basis | None = None,
         notes.append("normalizer scan skipped: needs a finite field")
 
     if certs is not None:
-        nonzero = [c for c in certs if not c.n.is_zero()]
-        dims["normalizers"] = len(nonzero)
+        # each flag below is decided on the corner units (normalizers docstring)
+        units = certs[1:]
+        dims["normalizers"] = normalizer_count(ctx, certs)
 
         # a span inside C that reaches dim C is C: stop extending it there
         nspan = Basis(ctx)
-        for cert in nonzero:
+        for cert in units:
             if nspan.dim < basis.dim:
                 nspan.extend(cert.n)
         dims["normalizer_span"] = nspan.dim
@@ -176,7 +177,7 @@ def classify(ctx: Context, c_basis: Basis | None = None,
             wits["delta_faithful"] = ctx.combination(kern[0], basis.rows)
 
         flags["delta_idempotent_implemented"] = True
-        for cert in nonzero:
+        for cert in units:
             blocking = _implemented_for(cert, ctx)
             if blocking is not None:
                 flags["delta_idempotent_implemented"] = False
@@ -184,7 +185,7 @@ def classify(ctx: Context, c_basis: Basis | None = None,
                 break
 
         fspan = Basis(ctx)
-        for cert in nonzero:
+        for cert in units:
             if fspan.dim < basis.dim and is_free_normalizer(cert):
                 fspan.extend(cert.n)
         dims["free_span"] = fspan.dim
@@ -194,7 +195,7 @@ def classify(ctx: Context, c_basis: Basis | None = None,
                                      if not fspan.contains(row))
 
         flags["LBH"] = True
-        for cert in nonzero:
+        for cert in units:
             if not is_bisection(g, cert.n.coeffs):
                 flags["LBH"] = False
                 wits["LBH"] = cert.n

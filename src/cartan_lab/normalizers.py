@@ -1,5 +1,5 @@
-"""Normalizers of the diagonal, their inverse-semigroup order, and the
-reconstruction of the groupoid and twist from normalizer ultrafilters.
+"""Normalizers of the diagonal, their corner units, and the reconstruction
+of the groupoid and twist from normalizer ultrafilters.
 
 An element n of a subalgebra C normalizes the diagonal D when some k in C
 satisfies n k n = n, k n k = k, and n D k together with k D n land inside D.
@@ -17,10 +17,12 @@ partial bijection is a normalizer with partner sum_w y_w.
 So is_normalizer splits n into its blocks, refuses unless their corners
 form a partial bijection, and finds each block's partner in the opposite
 corner: in closed form for a one-arrow block, otherwise by the linear solve
-x y = delta_v, y x = delta_w over that corner.  Checking those two products
-is the whole certificate.  It also follows that kn and nk are the indicators
-of the source and target units of supp n, which gives freeness in closed
-form.
+x y = delta_v over that corner.  That one side determines y: for an arrow g
+from w to v, x = delta_g s and y = t delta_g^-1 with s, t in the corner
+algebra delta_w A delta_w, where s t = delta_w forces t s = delta_w (finite
+dimension), so y x = delta_w.  Checking both products is the whole
+certificate.  It also follows that kn and nk are the indicators of the
+source and target units of supp n, which gives freeness in closed form.
 
 The partner is unique, so n -> dagger n is an involution, and on the corner
 units it is a bijection from those of C_{v,w} onto those of C_{w,v}: a
@@ -30,19 +32,25 @@ of y is y / c with partner c x, for c the first coordinate of y.  So it
 scans one corner of each opposite pair, takes the units of the other corner
 from the partners, and in an isotropy corner C_{v,v}, where the involution
 pairs each monic unit with the monic form of its inverse, certifies one unit
-of each inverse pair.  The sums are assembled without a further solve.
+of each inverse pair.
+
+The sums themselves are never assembled.  enumerate_normalizers lists the
+corner units, and normalizer_count counts the sums: a partial bijection
+carries the product over its corners of their unit counts.  What classify
+reads holds for a sum exactly when it holds for each block: the span of
+N(C,D) and of its free part is the span of the corner units, and LBH and
+implementation by an idempotent of D fail on a sum exactly when they fail
+on one of its blocks, whose sources and targets are all distinct.
 
 The blocks also give the order n <= m, n = m 1_S for a set S of units, that
 reconstruction reads ultrafilters from: right multiplication by 1_S keeps the
 blocks of m at the units of S and drops the rest, so n <= m exactly when
 every block of n is a block of m.  Each block of a normalizer is itself a
-normalizer of the span (D <= C), so a nonzero normalizer is minimal exactly
-when it has one block, and for a minimal x with source unit w, up(x) is the
-set of normalizers whose block at w is x.  up(x) is then an ultrafilter: a
-strictly larger proper filter would need a nonzero common lower bound of x
-and an element outside up(x), and the only nonzero element below x is x.
-UltraStructure indexes the normalizers by their blocks once and reads the
-minimal elements and up-sets off that index, with no pairwise comparison.
+normalizer of the span (D <= C), so the minimal elements are the corner
+units, and for a corner unit x with source unit w, up(x) is the set of
+normalizers whose block at w is x.  up(x) is then an ultrafilter: a strictly
+larger proper filter would need a nonzero common lower bound of x and an
+element outside up(x), and the only nonzero element below x is x.
 
 Reconstruction (phi_check) relies on three further facts about the blocks.
 Endpoints come from the corner: a minimal x in C_{v,w} has its partner y
@@ -55,20 +63,25 @@ representative of the product ultrafilter.  The support sets are read off the
 blocks: {n : n(gamma) != 0} is the set of normalizers whose block at
 src(gamma) carries gamma, the union of up(t delta_gamma) over the units t is
 the set whose block there is a multiple of delta_gamma, and the two agree for
-every arrow gamma exactly when every block in the index is a single arrow.
+every arrow gamma exactly when every corner unit is a single arrow.
 The twist is then compared in one table comparison: (t, gamma) -> up(t
 delta_gamma) must carry the product of the total groupoid onto that of the
 ultrafilter groupoid.
 
 Order contract of enumerate_normalizers (classify reports the first blocking
-normalizer as a witness, so the order shows in reports): zero first, then
-each monic normalizer (first nonzero coordinate 1) in lexicographic order of
-its coordinates tuple(n.value(p) for p in basis.pivots), each followed by its
-scalings lam n with partner lam^-1 k, for lam in ring.units() other than 1.
-That is the order of an exhaustive scan of the span.
+corner unit as a witness, so the order shows in reports): zero first, then
+each monic corner unit (first nonzero coordinate 1) in lexicographic order of
+its coordinates tuple(x.value(p) for p in basis.pivots), each followed by its
+scalings lam x with partner lam^-1 y, for lam in ring.units() other than 1.
+That is the order of an exhaustive scan of the span restricted to the corner
+units.  A flag fails on all scalings of a normalizer or on none, and the
+monic form of each block of a monic sum comes before the sum: the two first
+differ at the sum's leading pivot, where the block is 0.  So the first
+normalizer of the exhaustive scan to fail a flag is a corner unit, and the
+witnesses are those of the whole scan.
 """
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,14 +124,14 @@ def dagger_closed_form(ctx: Context, n: El) -> El | None:
     return El(ctx, out)
 
 
-def _block_partner(ctx: Context, x: El, v: int, w: int, opposite: Basis | None):
-    """The y in span(opposite), the corner C_{w,v}, with x y = delta_v and
-    y x = delta_w, or None.
+def _block_partner(ctx: Context, x: El, v: int, opposite: Basis | None):
+    """The y in span(opposite), the corner C_{w,v}, with x y = delta_v, or
+    None; y x = delta_w then follows (module docstring).
 
     With y = sum_j c_j K_j over the rows K_j of opposite, the products x K_j
-    lie in C_{v,v} and K_j x in C_{w,w}, so the system keeps only the rows of
-    the arrows of vGv and wGw: one batched convolution on each side builds
-    it, and the partner is one sum of the rows, each product reduced."""
+    lie in C_{v,v}, so the system keeps only the rows of the arrows of vGv:
+    one batched convolution builds it, and the partner is one sum of the
+    rows, each product reduced."""
     if opposite is None:
         return None
     if len(x.coeffs) == 1:
@@ -126,13 +139,9 @@ def _block_partner(ctx: Context, x: El, v: int, w: int, opposite: Basis | None):
         return y if y is not None and opposite.contains(y) else None
     g = ctx.groupoid
     at_v = np.flatnonzero((g.src == v) & (g.tgt == v))
-    at_w = np.flatnonzero((g.src == w) & (g.tgt == w))
-    xv = ctx.vec(x)
     k = np.array([ctx.vec(row) for row in opposite.rows])
-    mat = np.concatenate([ctx.conv_single_batch(xv, k)[:, at_v],
-                          ctx.conv_batch_single(k, xv)[:, at_w]], axis=1).T
-    rhs = np.concatenate([ctx.vec(ctx.delta(v))[at_v], ctx.vec(ctx.delta(w))[at_w]])
-    sol = ctx.solve(mat, rhs)
+    sol = ctx.solve(ctx.conv_single_batch(ctx.vec(x), k)[:, at_v].T,
+                    ctx.vec(ctx.delta(v))[at_v])
     return None if sol is None else ctx.el_of_vec(ctx.combine_rows(sol, k))
 
 
@@ -155,7 +164,7 @@ def is_normalizer(ctx: Context, n: El, c_basis: Basis | None = None):
     dagger: dict = {}
     for (v, w), coeffs in blocks.items():
         x = El(ctx, coeffs)
-        y = _block_partner(ctx, x, v, w, corners.get((w, v)))
+        y = _block_partner(ctx, x, v, corners.get((w, v)))
         if y is None:
             return None
         xv, yv = ctx.vec(x), ctx.vec(y)
@@ -227,6 +236,12 @@ def _monic_mate(x: El, y: El) -> tuple:
     return y.scale(x.ctx.ring.try_inv(c)), x.scale(c)
 
 
+def _scanned(corners: dict) -> list:
+    """The corners the scan visits, in sorted order: the first of each
+    opposite pair of nonzero corners, isotropy corners included."""
+    return [(v, w) for v, w in sorted(corners) if v <= w and (w, v) in corners]
+
+
 def _corner_units(ctx: Context, basis: Basis) -> dict:
     """The normalizers that lie in one corner, as {w: [(v, scaled)]}: scaled
     lists (lam x, lam^-1 y) as coefficient dicts for lam in ring.units(), with
@@ -243,11 +258,9 @@ def _corner_units(ctx: Context, basis: Basis) -> dict:
     scalings = [(lam, r.try_inv(lam)) for lam in r.units()]
     corners = corner_bases(basis)
     found: dict = {}
-    for (v, w), corner in sorted(corners.items()):
-        opposite = corners.get((w, v))
-        if opposite is None or (v, w) in found:
-            continue
-        cands, mask = _batched_mask(ctx, corner.rows, opposite.rows)
+    for v, w in _scanned(corners):
+        opposite = corners[(w, v)]
+        cands, mask = _batched_mask(ctx, corners[(v, w)].rows, opposite.rows)
         pairs, mates = [], {}
         for i in np.nonzero(mask)[0]:
             x = ctx.el_of_vec(cands[i])
@@ -277,56 +290,51 @@ def _corner_units(ctx: Context, basis: Basis) -> dict:
     return units
 
 
-def _monic_sums(ctx: Context, units: dict):
-    """Every monic sum of corner units over a partial bijection of the units,
-    as (n, k) coefficient dicts.  The block holding the smallest arrow of a
-    sum carries its leading coefficient, so that block stays monic and every
-    other block runs over all its scalings."""
-    shapes = [((), frozenset())]
-    for w in ctx.groupoid.units():
-        grown = []
-        for blocks, used in shapes:
-            grown.append((blocks, used))
-            for v, scaled in units.get(w, ()):
-                if v not in used:
-                    grown.append((blocks + (scaled,), used | {v}))
-        shapes = grown
-    for blocks, _ in shapes:
-        if not blocks:
-            continue
-        lead, *rest = sorted(blocks, key=lambda scaled: min(scaled[0][0]))
-        for choice in itertools.product(*rest):
-            n, k = dict(lead[0][0]), dict(lead[0][1])
-            for x, y in choice:
-                n.update(x)
-                k.update(y)
-            yield n, k
-
-
 def enumerate_normalizers(ctx: Context, c_basis: Basis | None = None,
                           guard: int = SCAN_GUARD):
-    """Every normalizer in the span of c_basis, as certified pairs, in the
-    order of the module docstring.  The span must be a D-bimodule; the guard
-    bounds p^dim(C), the size of the whole span."""
+    """Zero and every corner unit of the span of c_basis, as certified pairs,
+    in the order of the module docstring; normalizer_count counts the
+    normalizers they sum to.  The span must be a D-bimodule.  The guard
+    bounds the candidates scanned, p^dim over the scanned corners, and the
+    2^units states of normalizer_count."""
     if not ctx.ring.is_field or not ctx.ring.is_finite:
         raise InputError("normalizer enumeration needs a finite field")
     basis = c_basis if c_basis is not None else full_algebra_basis(ctx)
     certs = [NormalizerCert(ctx.zero(), ctx.zero())]
     if basis.dim == 0:
         return certs
-    total = ctx.p ** basis.dim
-    if total > guard:
-        raise GuardExceeded("normalizer scan candidates", total, guard)
-    sums = sorted(_monic_sums(ctx, _corner_units(ctx, basis)),
-                  key=lambda nk: tuple(nk[0].get(piv, 0) for piv in basis.pivots))
-    scalings = [lam for lam in ctx.ring.units() if lam != ctx.ring.one]
-    for n_coeffs, k_coeffs in sums:
-        n, k = El(ctx, n_coeffs), El(ctx, k_coeffs)
-        certs.append(NormalizerCert(n, k))
-        # lam n has partner lam^-1 k: all three identities scale through
-        for lam in scalings:
-            certs.append(NormalizerCert(n.scale(lam), k.scale(ctx.ring.try_inv(lam))))
-    return certs
+    corners = corner_bases(basis)
+    candidates = sum(ctx.p ** corners[vw].dim for vw in _scanned(corners))
+    if candidates > guard:
+        raise GuardExceeded("normalizer scan candidates", candidates, guard)
+    states = 2 ** ctx.groupoid.n_units
+    if states > guard:
+        raise GuardExceeded("normalizer count states", states, guard)
+    units = sorted((scaled for pairs in _corner_units(ctx, basis).values() for _, scaled in pairs),
+                   key=lambda scaled: tuple(scaled[0][0].get(piv, 0) for piv in basis.pivots))
+    return certs + [NormalizerCert(El(ctx, n), El(ctx, k)) for scaled in units for n, k in scaled]
+
+
+def normalizer_count(ctx: Context, certs) -> int:
+    """The number of nonzero normalizers with the corner units certs: the sum
+    over nonempty partial bijections of the units of the product of the unit
+    counts of the corners used, by a DP over source units whose state is the
+    set of targets used so far."""
+    g = ctx.groupoid
+    per_corner = Counter((int(g.src[a]), int(g.tgt[a]))
+                         for a in (min(c.n.coeffs) for c in certs if not c.n.is_zero()))
+    targets: dict = {}
+    for (w, v), count in per_corner.items():
+        targets.setdefault(w, []).append((1 << v, count))
+    ways = {0: 1}
+    for row in targets.values():
+        grown = dict(ways)
+        for used, n in ways.items():
+            for bit, count in row:
+                if not used & bit:
+                    grown[used | bit] = grown.get(used | bit, 0) + n * count
+        ways = grown
+    return sum(ways.values()) - 1
 
 
 # -- order and freeness ------------------------------------------------------
@@ -341,44 +349,19 @@ def is_free_normalizer(cert: NormalizerCert) -> bool:
             or {int(g.src[a]) for a in arrows}.isdisjoint(int(g.tgt[a]) for a in arrows))
 
 
-def _blocks(n: El) -> list:
-    """n split by source unit: the blocks n delta_w, one per source unit w of
-    supp n."""
-    g = n.ctx.groupoid
-    parts: dict = {}
-    for a, c in n.coeffs.items():
-        parts.setdefault(int(g.src[a]), {})[a] = c
-    return [El(n.ctx, coeffs) for coeffs in parts.values()]
-
-
 # -- ultrafilters and reconstruction -----------------------------------------
 
 class UltraStructure:
     """The nonzero normalizers of one span under the inverse-semigroup order,
-    with ultrafilters represented by their minimal elements, read off the
-    blocks as in the module docstring."""
+    by their minimal elements, the corner units (module docstring), sorted
+    by key: each represents one ultrafilter."""
 
     def __init__(self, ctx: Context, c_basis: Basis | None = None,
                  guard: int = SCAN_GUARD):
-        self.ctx = ctx
         self.certs = enumerate_normalizers(ctx, c_basis, guard)
         self.dagger_of = {cert.n: cert.dagger for cert in self.certs}
-        self.nonzero = sorted((c.n for c in self.certs if not c.n.is_zero()),
-                              key=lambda e: e.key())
-        blocks = {n: _blocks(n) for n in self.nonzero}
-        ups: dict = {}
-        for n, xs in blocks.items():
-            for x in xs:
-                ups.setdefault(x, set()).add(n)
-        # every block of every nonzero normalizer, with the normalizers carrying it
-        self.block_index = {x: frozenset(members) for x, members in ups.items()}
-        self.minimals = [n for n in self.nonzero if len(blocks[n]) == 1]
-
-    def up_set(self, n: El) -> frozenset:
-        """{m : n <= m} for nonzero n: the normalizers that carry every block
-        of n."""
-        return frozenset.intersection(*(self.block_index.get(x, frozenset())
-                                        for x in _blocks(n)))
+        self.minimals = sorted((c.n for c in self.certs if not c.n.is_zero()),
+                               key=lambda e: e.key())
 
 
 def build_sigma_prime(ctx: Context, guard: int = SCAN_GUARD):
@@ -432,7 +415,7 @@ def phi_check(ctx: Context, guard: int = SCAN_GUARD) -> dict:
     runits = ctx.ring.units()
     index = {n: i for i, n in enumerate(rep_list)}
     report = {
-        "normalizer_count": len(ultra.nonzero),
+        "normalizer_count": normalizer_count(ctx, ultra.certs),
         "ultrafilter_count": len(rep_list),
         "expected_total_size": len(runits) * g.num_arrows,
         "total_size_matches": len(rep_list) == len(runits) * g.num_arrows,
@@ -468,7 +451,7 @@ def phi_check(ctx: Context, guard: int = SCAN_GUARD) -> dict:
                                      and report["arrow_map_homomorphism"])
     # {n : n(gamma) != 0} is the union of up(t delta_gamma) over the units t
     # exactly when every block carrying gamma is a multiple of delta_gamma
-    report["support_sets_match"] = all(len(x.coeffs) == 1 for x in ultra.block_index)
+    report["support_sets_match"] = all(len(x.coeffs) == 1 for x in ultra.minimals)
     # twist level: psi carries the total groupoid's table onto Sigma'
     sigma, pair_of, _, _ = twistmod.sigma_total(ctx.cocycle)
     psi = np.array([index[ctx.delta(a).scale(t)]

@@ -1,17 +1,19 @@
 """Brute-force references for the normalizer layer.
 
-These follow the definitions verbatim and compare pairs of elements, so they
-are slow; the tests check the fast paths of cartan_lab.normalizers against
-them on small contexts.
+These follow the definitions verbatim, assemble every normalizer and compare
+pairs of elements, so they are slow; the tests check the fast paths of
+cartan_lab.normalizers against them on small contexts.
 """
+
+import itertools
 
 import numpy as np
 
 from cartan_lab import normalizers as nz
 from cartan_lab.errors import GuardExceeded, InputError, InternalCheckError
 from cartan_lab.groupoid import Groupoid
-from cartan_lab.normalizers import SCAN_GUARD, NormalizerCert, UltraStructure
-from cartan_lab.steinberg import corner_bases, full_algebra_basis
+from cartan_lab.normalizers import NormalizerCert
+from cartan_lab.steinberg import El, corner_bases, full_algebra_basis
 
 
 def verify_cert(cert: NormalizerCert, c_basis=None) -> bool:
@@ -68,6 +70,57 @@ def corner_units(ctx, basis) -> dict:
                       for lam in lams]
             units.setdefault(w, []).append((v, scaled))
     return units
+
+
+def all_normalizers(ctx, basis) -> list:
+    """Every normalizer of the span, assembled as the sums of corner units over
+    the partial bijections of the units, in the order of the exhaustive scan:
+    zero, then each monic normalizer in coordinate order followed by its
+    scalings.  The block holding the smallest arrow of a sum carries its
+    leading coefficient, so that block stays monic and every other block runs
+    over all its scalings."""
+    r = ctx.ring
+    units = corner_units(ctx, basis)
+    shapes = [((), frozenset())]
+    for w in ctx.groupoid.units():
+        grown = []
+        for blocks, used in shapes:
+            grown.append((blocks, used))
+            for v, scaled in units.get(w, ()):
+                if v not in used:
+                    grown.append((blocks + (scaled,), used | {v}))
+        shapes = grown
+    sums = []
+    for blocks, _ in shapes:
+        if not blocks:
+            continue
+        lead, *rest = sorted(blocks, key=lambda scaled: min(scaled[0][0]))
+        for choice in itertools.product(*rest):
+            n, k = dict(lead[0][0]), dict(lead[0][1])
+            for x, y in choice:
+                n.update(x)
+                k.update(y)
+            sums.append((n, k))
+    sums.sort(key=lambda nk: tuple(nk[0].get(piv, 0) for piv in basis.pivots))
+    certs = [NormalizerCert(ctx.zero(), ctx.zero())]
+    for n_coeffs, k_coeffs in sums:
+        n, k = El(ctx, n_coeffs), El(ctx, k_coeffs)
+        # lam n has partner lam^-1 k: all three identities scale through
+        certs += [NormalizerCert(n.scale(lam), k.scale(r.try_inv(lam))) for lam in r.units()]
+    return certs
+
+
+class AssembledOrder:
+    """The nonzero normalizers of one span, all of them assembled, sorted by
+    key, with their partners and the minimal elements under leq."""
+
+    def __init__(self, ctx, c_basis=None):
+        self.certs = all_normalizers(ctx, c_basis if c_basis is not None
+                                     else full_algebra_basis(ctx))
+        self.dagger_of = {cert.n: cert.dagger for cert in self.certs}
+        self.nonzero = sorted((c.n for c in self.certs if not c.n.is_zero()),
+                              key=lambda e: e.key())
+        self.minimals = minimals(self)
 
 
 def leq(n, m) -> bool:
@@ -168,11 +221,11 @@ def composable(ultra, u0, v0) -> bool:
 
 # -- reconstruction by pairwise loops -----------------------------------------
 
-def build_sigma_prime(ctx, guard: int = SCAN_GUARD):
+def build_sigma_prime(ctx):
     """Groupoid of normalizer ultrafilters, with endpoints from the range and
     source projections n k and k n and every endpoint-matched pair put through
     the projection test.  Returns (sigma_prime, ultra, rep_list)."""
-    ultra = UltraStructure(ctx, None, guard)
+    ultra = AssembledOrder(ctx)
     g = ctx.groupoid
     mins = ultra.minimals
     unit_reps = []
@@ -224,12 +277,12 @@ def build_sigma_prime(ctx, guard: int = SCAN_GUARD):
     return sigma_prime, ultra, rep_list
 
 
-def ultrafilter_groupoid(ctx, guard: int = SCAN_GUARD):
+def ultrafilter_groupoid(ctx):
     """Groupoid of ultrafilters together with its quotient by unit scaling,
     orbit pair by orbit pair.  Returns (sigma_prime, g_prime, info)."""
     g = ctx.groupoid
     r = ctx.ring
-    sigma_prime, ultra, rep_list = build_sigma_prime(ctx, guard)
+    sigma_prime, ultra, rep_list = build_sigma_prime(ctx)
     index = {n: i for i, n in enumerate(rep_list)}
     runits = r.units()
     info = {
@@ -295,13 +348,13 @@ def ultrafilter_groupoid(ctx, guard: int = SCAN_GUARD):
     return sigma_prime, quotient, info
 
 
-def phi_check(ctx, guard: int = SCAN_GUARD) -> dict:
+def phi_check(ctx) -> dict:
     """The reconstruction report with every comparison as a loop: the arrow
     map phi pair by pair, the support sets from the up-sets, and the twist
     over all (t, gamma), (t2, eta)."""
     g = ctx.groupoid
     r = ctx.ring
-    sigma_prime, quotient, info = ultrafilter_groupoid(ctx, guard)
+    sigma_prime, quotient, info = ultrafilter_groupoid(ctx)
     ultra = info["ultra"]
     rep_list = info["rep_list"]
     index = info["index"]
@@ -360,7 +413,7 @@ def phi_check(ctx, guard: int = SCAN_GUARD) -> dict:
         orb = orbits[orbit_of[j]]
         union = set()
         for i in orb:
-            union |= ultra.up_set(rep_list[i])
+            union |= up_set(ultra, rep_list[i])
         if sa != union:
             support_sets_ok = False
             break

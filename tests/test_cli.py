@@ -154,12 +154,15 @@ def test_guard_exceeded_exits_three(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, job, guard, measured", [
-    # pair(3)/F2: the 2^6 generators pass a guard of 100, but classifying
-    # some closure needs 2^7 normalizer candidates
-    pytest.param("galois", "04-pair3-f2-galois", 100, 128, id="galois"),
-    pytest.param("pqc-scan", "04-pair3-f2-galois", 100, 128, id="pqc-scan"),
-    pytest.param("classify", "02-pair3-f3-classify", 5, 3 ** 9, id="classify"),
-    pytest.param("two-arrows", "08-k2xz2-f3-two-arrows", 5, 27, id="two-arrows"),
+    # Z3/F5: the 5^2 generators pass a guard of 100, but classifying the
+    # full algebra scans its one corner, 5^3 normalizer candidates
+    pytest.param("galois", "09-z3-f5-bad-apple", 100, 125, id="galois"),
+    pytest.param("pqc-scan", "09-z3-f5-bad-apple", 100, 125, id="pqc-scan"),
+    # pair(3)/F3: 3 unit corners and one of each opposite pair, 3 candidates each
+    pytest.param("classify", "02-pair3-f3-classify", 5, 18, id="classify"),
+    # k2xz2/F3: the closure's corner (0, 1) has no opposite corner, so only
+    # its two unit corners are scanned, 3 candidates each
+    pytest.param("two-arrows", "08-k2xz2-f3-two-arrows", 5, 6, id="two-arrows"),
     pytest.param("bad-apple", "09-z3-f5-bad-apple", 5, 25, id="bad-apple"),
 ])
 def test_guard_skipped_classification_exits_three(capsys, command, job, guard, measured):

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,9 +13,10 @@ from cartan_lab import coeff, exactlin
 from cartan_lab import groupoid as gpd
 from cartan_lab import normalizers as nz
 from cartan_lab.errors import GuardExceeded, InputError, InternalCheckError
-from cartan_lab.inclusions import diagonal_basis, subgroupoid_algebra
+from cartan_lab.inclusions import (_implemented_for, classify, diagonal_basis,
+                                   singly_generated_closures, subgroupoid_algebra)
 from cartan_lab.steinberg import (Context, algebra_closure, corner_bases, full_algebra_basis,
-                                  span_closure)
+                                  is_bisection, span_closure)
 
 import normalizer_oracle as oracle
 from conftest import (KLEIN_TABLE, ORACLE_CONTEXTS, arrow_between, klein_bicharacter,
@@ -117,12 +120,21 @@ def test_two_arrows_element_refuted(k2xz2_f3):
 
 # -- enumeration -------------------------------------------------------------
 
-def test_enumerate_full_pair3(pair3_f3):
-    certs = nz.enumerate_normalizers(pair3_f3)
-    assert len(certs) == 139
+def test_enumerate_full_pair3():
+    # the 9 corners of pair(3) hold 2 units each; their sums over the partial
+    # bijections of the 3 units are the 138 nonzero normalizers, 38 of them free
+    ctx, ((full, scan), *_) = _exhaustive_scans("pair3/F3")
+    certs = nz.enumerate_normalizers(ctx)
+    assert certs == _one_block(ctx, scan)
+    assert len(certs) == 1 + 18
+    assert nz.normalizer_count(ctx, certs) == 138
     for cert in certs:
         assert oracle.verify_cert(cert)
-    free = [c for c in certs if nz.is_free_normalizer(c)]
+    everything = oracle.all_normalizers(ctx, full)
+    assert len(everything) == 139
+    for cert in everything:
+        assert oracle.verify_cert(cert)
+    free = [c for c in everything if nz.is_free_normalizer(c)]
     assert len(free) == 39
 
 
@@ -141,9 +153,13 @@ def test_enumerate_f5z3_counts(z3_f5):
 
 
 def test_enumerate_diagonal_only(pair3_f3):
-    certs = nz.enumerate_normalizers(pair3_f3, diagonal_basis(pair3_f3))
-    assert len(certs) == 27
-    for cert in certs:
+    # the 2 scalings of each of the 3 unit deltas, and their 26 nonzero sums
+    d = diagonal_basis(pair3_f3)
+    certs = nz.enumerate_normalizers(pair3_f3, d)
+    assert certs == _one_block(pair3_f3, reference_normalizers(pair3_f3, d))
+    assert len(certs) == 1 + 6
+    assert nz.normalizer_count(pair3_f3, certs) == 26
+    for cert in oracle.all_normalizers(pair3_f3, d):
         assert all(pair3_f3.groupoid.is_unit(a) for a in cert.n.coeffs)
 
 
@@ -158,8 +174,52 @@ def test_example_subalgebra_normalizers_leave_d(z3_f5):
 
 
 def test_enumeration_guard(pair3_f3):
-    with pytest.raises(GuardExceeded):
-        nz.enumerate_normalizers(pair3_f3, guard=100)
+    # 3 unit corners and one corner of each of the 3 opposite pairs, 3
+    # candidates each; 3^9 candidates span the whole algebra
+    with pytest.raises(GuardExceeded, match="normalizer scan candidates: measured 18 exceeds "
+                                            "guard 17"):
+        nz.enumerate_normalizers(pair3_f3, guard=17)
+    assert len(nz.enumerate_normalizers(pair3_f3, guard=18)) == 19
+
+
+def test_count_states_guard():
+    # the diagonal of pair(5)/F3 scans 5 corners of 3 candidates, but its
+    # count runs over the 2^5 sets of target units
+    ctx = make_context(gpd.pair_groupoid(5), coeff.Ring(coeff.PRIME_FIELD, 3))
+    with pytest.raises(GuardExceeded, match="normalizer count states: measured 32 exceeds "
+                                            "guard 31"):
+        nz.enumerate_normalizers(ctx, diagonal_basis(ctx), guard=31)
+    certs = nz.enumerate_normalizers(ctx, diagonal_basis(ctx), guard=32)
+    assert nz.normalizer_count(ctx, certs) == 3 ** 5 - 1
+
+
+def _rook_sum(n, units):
+    """Nonzero normalizers of pair(n) over a field with that many units: k
+    blocks over a partial bijection of size k, each of the units."""
+    return sum(math.comb(n, k) ** 2 * math.factorial(k) * units ** k for k in range(1, n + 1))
+
+
+def test_pair_normalizer_counts_are_rook_sums():
+    f3 = coeff.Ring(coeff.PRIME_FIELD, 3)
+    counts = []
+    for n in range(1, 8):
+        ctx = make_context(gpd.pair_groupoid(n), f3)
+        certs = nz.enumerate_normalizers(ctx)
+        assert len(certs) == 1 + 2 * n * n
+        counts.append(nz.normalizer_count(ctx, certs))
+    assert counts == [_rook_sum(n, 2) for n in range(1, 8)]
+    assert counts[3:] == [1472, 19090, 291792, 5129306]
+
+
+def test_pair6_classify_and_pair5_reconstruct_under_the_default_guard():
+    f3 = coeff.Ring(coeff.PRIME_FIELD, 3)
+    rep = classify(make_context(gpd.pair_groupoid(6), f3))
+    assert rep.dims["normalizers"] == 291792
+    assert rep.verdict == "ADP"
+    rec = nz.phi_check(make_context(gpd.pair_groupoid(5), f3))
+    assert rec["normalizer_count"] == 19090
+    assert rec["ultrafilter_count"] == 50
+    assert rec["reconstructed"]
 
 
 # -- corner-wise enumeration against the exhaustive scan ----------------------
@@ -194,6 +254,13 @@ def reference_is_normalizer(ctx, n, basis):
     cert = nz.NormalizerCert(n, k0 * n * k0)
     assert oracle.verify_cert(cert, basis)
     return cert
+
+
+def _one_block(ctx, certs):
+    """The certificates whose element lies in one corner, zero included."""
+    g = ctx.groupoid
+    return [c for c in certs
+            if len({(int(g.tgt[a]), int(g.src[a])) for a in c.n.coeffs}) <= 1]
 
 
 def reference_normalizers(ctx, basis):
@@ -231,13 +298,23 @@ def _oracle_spans(ctx):
     return list(spans.values())
 
 
+@functools.cache
+def _exhaustive_scans(name):
+    """An oracle context and its oracle spans, each with its exhaustive scan;
+    the full algebra comes first."""
+    ctx = oracle_context(name)
+    return ctx, [(c, reference_normalizers(ctx, c)) for c in _oracle_spans(ctx)]
+
+
 @pytest.mark.parametrize("name", ORACLE_CONTEXTS)
 def test_enumeration_matches_exhaustive_scan(name):
-    ctx = oracle_context(name)
-    for c in _oracle_spans(ctx):
+    """The corner units are the one-block part of the exhaustive scan, in
+    its order, and they count the rest."""
+    ctx, scans = _exhaustive_scans(name)
+    for c, want in scans:
         got = nz.enumerate_normalizers(ctx, c)
-        want = reference_normalizers(ctx, c)
-        assert [(x.n, x.dagger) for x in got] == [(x.n, x.dagger) for x in want]
+        assert got == _one_block(ctx, want)
+        assert nz.normalizer_count(ctx, got) == len(want) - 1
 
 
 def _certifier_cases(ctx):
@@ -370,9 +447,10 @@ def test_free_closed_form_matches_products(name):
             assert nz.is_free_normalizer(cert) == want, n
 
 
-def test_corner_scan_prefilters_one_candidate_per_corner(pair3_f3, monkeypatch):
+def test_corner_scan_prefilters_one_candidate_per_corner(monkeypatch):
     # the 3 unit corners and one corner of each of the 3 opposite pairs; the
     # other corner of a pair takes its units from the partners
+    ctx, ((_, scan), *_) = _exhaustive_scans("pair3/F3")
     seen = []
     batch = exactlin.batch_solvable_mod_p
 
@@ -381,9 +459,10 @@ def test_corner_scan_prefilters_one_candidate_per_corner(pair3_f3, monkeypatch):
         return batch(mats, rhs, p)
 
     monkeypatch.setattr(exactlin, "batch_solvable_mod_p", counting)
-    certs = nz.enumerate_normalizers(pair3_f3)
+    certs = nz.enumerate_normalizers(ctx)
     assert sum(seen) == 6
-    assert len(certs) == 139
+    assert certs == _one_block(ctx, scan)
+    assert nz.normalizer_count(ctx, certs) == 138
 
 
 def test_isotropy_corner_certifies_one_unit_per_inverse_pair(monkeypatch):
@@ -472,7 +551,7 @@ def test_leq_is_a_partial_order(z2_f3):
 
 def test_leq_restriction_characterization(pair3_f3):
     ctx = pair3_f3
-    certs = nz.enumerate_normalizers(ctx)
+    certs = oracle.all_normalizers(ctx, full_algebra_basis(ctx))
     ns = [c.n for c in certs if not c.n.is_zero()]
     rng = random.Random(31)
     g = ctx.groupoid
@@ -486,10 +565,11 @@ def test_leq_restriction_characterization(pair3_f3):
 
 def test_minimals_are_ultrafilter_representatives(z2_f3):
     ultra = nz.UltraStructure(z2_f3)
+    order = oracle.AssembledOrder(z2_f3)
     assert sorted(repr(m) for m in ultra.minimals) == ["1@0", "1@1", "2@0", "2@1"]
     for m in ultra.minimals:
-        oracle.assert_ultra(ultra, m)
-        assert oracle.is_filter(ultra, ultra.up_set(m))
+        oracle.assert_ultra(order, m)
+        assert oracle.is_filter(order, oracle.up_set(order, m))
 
 
 def test_ultrafilter_counts_match_total_groupoid(pair3_f2, z2_f3):
@@ -501,43 +581,45 @@ def test_ultrafilter_counts_match_total_groupoid(pair3_f2, z2_f3):
 
 def test_filters_are_principal_up_sets(z2_f3):
     # every filter in the finite order is the up-set of its least element
-    ultra = nz.UltraStructure(z2_f3)
-    ns = ultra.nonzero
+    order = oracle.AssembledOrder(z2_f3)
+    ns = order.nonzero
     for size in (1, 2, 3):
         for subset in itertools.combinations(ns, size):
-            if not oracle.is_filter(ultra, set(subset)):
+            if not oracle.is_filter(order, set(subset)):
                 continue
             least = [n for n in subset if all(oracle.leq(n, m) for m in subset)]
             assert len(least) == 1
-            assert set(subset) == set(ultra.up_set(least[0]))
+            assert set(subset) == set(oracle.up_set(order, least[0]))
 
 
 def test_subsemigroup_filter_calculus(pair3_f3):
     """Filters of N(C,D) interact with N(A,D) by up-closure and intersection."""
     ctx = pair3_f3
-    big = nz.UltraStructure(ctx)
+    big = oracle.AssembledOrder(ctx)
     big_set = set(big.nonzero)
+    big_minimals = nz.UltraStructure(ctx).minimals
     proper = [h for h in ctx.groupoid.wide_subgroupoids()
               if len(h) not in (ctx.groupoid.n_units, ctx.groupoid.num_arrows)]
     for h in proper[:2]:
-        sub = nz.UltraStructure(ctx, subgroupoid_algebra(ctx, h))
+        c = subgroupoid_algebra(ctx, h)
+        sub = oracle.AssembledOrder(ctx, c)
         s_set = set(sub.nonzero)
         assert s_set <= big_set
         # up-closure of a sub-ultrafilter is an ultrafilter upstairs
-        for m in sub.minimals:
-            assert m in big.minimals
-            up_t = big.up_set(m)
+        for m in nz.UltraStructure(ctx, c).minimals:
+            assert m in big_minimals
+            up_t = oracle.up_set(big, m)
             # and intersecting back recovers the original filter
-            assert set(sub.up_set(m)) == set(up_t) & s_set
+            assert set(oracle.up_set(sub, m)) == set(up_t) & s_set
         # ambient ultrafilters that meet S are recovered from the trace
-        for m in big.minimals:
-            trace = set(big.up_set(m)) & s_set
+        for m in big_minimals:
+            trace = set(oracle.up_set(big, m)) & s_set
             if not trace:
                 continue
             reclosed = set()
             for x in trace:
-                reclosed |= big.up_set(x)
-            assert reclosed == set(big.up_set(m))
+                reclosed |= oracle.up_set(big, x)
+            assert reclosed == set(oracle.up_set(big, m))
 
 
 def test_ultrafilter_products_independent_of_representatives(z2_f3):
@@ -545,7 +627,7 @@ def test_ultrafilter_products_independent_of_representatives(z2_f3):
     # product check is not vacuous there
     pair2 = oracle_context("pair2/F3")
     for ctx in (z2_f3, pair2):
-        ultra = nz.UltraStructure(ctx)
+        ultra = oracle.AssembledOrder(ctx)
 
         def upclose(elements):
             out = set()
@@ -556,10 +638,11 @@ def test_ultrafilter_products_independent_of_representatives(z2_f3):
             return out
 
         seen_proper_upset = False
-        for u0 in ultra.minimals:
+        minimals = nz.UltraStructure(ctx).minimals
+        for u0 in minimals:
             if len(oracle.up_set(ultra, u0)) > 1:
                 seen_proper_upset = True
-            for v0 in ultra.minimals:
+            for v0 in minimals:
                 if not oracle.composable(ultra, u0, v0):
                     continue
                 member_products = {u * v for u in oracle.up_set(ultra, u0)
@@ -571,17 +654,44 @@ def test_ultrafilter_products_independent_of_representatives(z2_f3):
 
 @pytest.mark.parametrize("name", ORACLE_CONTEXTS + ["pair2/F3", "pair4/F2"])
 def test_block_index_matches_the_order_oracle(name):
-    """Minimal elements and up-sets read off the blocks agree with pairwise
-    comparison under leq, on the full algebra and on seeded subalgebras."""
+    """The corner units are the minimal elements of the assembled normalizers
+    under leq, on the full algebra and on seeded subalgebras, and the up-set
+    of each, the normalizers whose block at its source unit it is, is an
+    ultrafilter."""
     ctx = oracle_context(name)
+    g = ctx.groupoid
     for c in _oracle_spans(ctx):
         ultra = nz.UltraStructure(ctx, c)
-        assert ultra.minimals == oracle.minimals(ultra)
-        for n in ultra.nonzero:
-            assert ultra.up_set(n) == oracle.up_set(ultra, n)
+        order = oracle.AssembledOrder(ctx, c)
+        assert ultra.minimals == order.minimals
         for m in ultra.minimals:
-            oracle.assert_ultra(ultra, m)
-            assert oracle.is_filter(ultra, ultra.up_set(m))
+            src = {int(g.src[a]) for a in m.coeffs}
+            up = oracle.up_set(order, m)
+            assert up == {n for n in order.nonzero if oracle.restriction(n, src) == m}
+            oracle.assert_ultra(order, m)
+            assert oracle.is_filter(order, up)
+
+
+@pytest.mark.parametrize("name", ORACLE_CONTEXTS)
+def test_corner_units_decide_like_the_assembled_normalizers(name):
+    """On the full algebra and every singly generated closure: the count, the
+    span and the first normalizers to fail LBH and implementation by an
+    idempotent, from the corner units, are those of the assembled list."""
+    ctx = oracle_context(name)
+    spans = [full_algebra_basis(ctx)] + [c for c, _ in singly_generated_closures(ctx)[0].values()]
+    for c in spans:
+        certs = nz.enumerate_normalizers(ctx, c)
+        everything = oracle.all_normalizers(ctx, c)
+        assert nz.normalizer_count(ctx, certs) == len(everything) - 1
+        assert (span_closure(ctx, [x.n for x in certs]).key()
+                == span_closure(ctx, [x.n for x in everything]).key())
+        wits = classify(ctx, c).witnesses
+        lbh = next((x.n for x in everything if not is_bisection(ctx.groupoid, x.n.coeffs)),
+                   None)
+        assert wits.get("LBH") == lbh
+        implemented = next(((x.n, b) for x in everything
+                            if (b := _implemented_for(x, ctx)) is not None), None)
+        assert wits.get("delta_idempotent_implemented") == implemented
 
 
 # -- reconstruction ----------------------------------------------------------
@@ -633,8 +743,8 @@ def _with_swapped_products(build):
     """build_sigma_prime with the products delta_1 delta_1 and delta_1 (2 delta_1)
     of Z2 over F3 exchanged: the quotient by scaling cannot see the swap, the
     twist can."""
-    def swapped(ctx, guard=nz.SCAN_GUARD):
-        sigma_prime, ultra, rep_list = build(ctx, guard)
+    def swapped(ctx, *guard):
+        sigma_prime, ultra, rep_list = build(ctx, *guard)
         a, b = rep_list.index(ctx.delta(1)), rep_list.index(ctx.delta(1, 2))
         comp = sigma_prime.comp.copy()
         comp[a, a], comp[a, b] = comp[a, b], comp[a, a]
