@@ -52,21 +52,26 @@ normalizers whose block at w is x.  up(x) is then an ultrafilter: a strictly
 larger proper filter would need a nonzero common lower bound of x and an
 element outside up(x), and the only nonzero element below x is x.
 
-Reconstruction (phi_check) relies on three further facts about the blocks.
-Endpoints come from the corner: a minimal x in C_{v,w} has its partner y
-with x y = delta_v and y x = delta_w, certified when x was enumerated, so
-up(x) runs from w to v, the source and target of any arrow of x.
-Composability is the endpoint match: for minimal u0 and v0 the projection
-product (dagger u0) u0 v0 (dagger v0) is delta_src(u0) delta_tgt(v0), nonzero
-exactly when src(u0) = tgt(v0), and then u0 v0 is again one corner unit, the
-representative of the product ultrafilter.  The support sets are read off the
+Reconstruction (phi_check) works on the scaling orbits of the corner units,
+one monic representative each.  Endpoints come from the corner: a minimal x
+in C_{v,w} has its partner y with x y = delta_v and y x = delta_w, certified
+when x was enumerated, so up(x) runs from w to v.  Composability is the
+endpoint match: for minimal u0 and v0 the projection product (dagger u0) u0
+v0 (dagger v0) is delta_src(u0) delta_tgt(v0), nonzero exactly when
+src(u0) = tgt(v0), and then u0 v0 is again one corner unit, the
+representative of the product ultrafilter.  Scaling is bilinear, (c m)(c' m')
+= c c' (m m'), so the products of the representatives, each read as a unit
+times a representative, give all of Sigma': the quotient by scaling and a
+unit-valued scalar table.  Sigma' is a groupoid by theorem (Lawson-Lenz,
+Exel), so only the quotient is validated.  The support sets are read off the
 blocks: {n : n(gamma) != 0} is the set of normalizers whose block at
 src(gamma) carries gamma, the union of up(t delta_gamma) over the units t is
 the set whose block there is a multiple of delta_gamma, and the two agree for
-every arrow gamma exactly when every corner unit is a single arrow.
-The twist is then compared in one table comparison: (t, gamma) -> up(t
-delta_gamma) must carry the product of the total groupoid onto that of the
-ultrafilter groupoid.
+every arrow gamma exactly when every corner unit is a single arrow.  The
+twist map (t, gamma) -> up(t delta_gamma) carries the product of the total
+groupoid onto that of Sigma' exactly when the arrow map is a homomorphism
+onto the quotient and delta_a delta_b = omega(a, b) delta_ab in the scalar
+table, for every composable pair (a, b) of G.
 
 Order contract of enumerate_normalizers (classify reports the first blocking
 corner unit as a witness, so the order shows in reports): zero first, then
@@ -87,7 +92,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from cartan_lab import exactlin
-from cartan_lab import twist as twistmod
 from cartan_lab.errors import GuardExceeded, InputError, InternalCheckError
 from cartan_lab.groupoid import Groupoid
 from cartan_lab.steinberg import (Basis, Context, El, corner_bases, full_algebra_basis,
@@ -351,53 +355,50 @@ def is_free_normalizer(cert: NormalizerCert) -> bool:
 
 # -- ultrafilters and reconstruction -----------------------------------------
 
-class UltraStructure:
-    """The nonzero normalizers of one span under the inverse-semigroup order,
-    by their minimal elements, the corner units (module docstring), sorted
-    by key: each represents one ultrafilter."""
-
-    def __init__(self, ctx: Context, c_basis: Basis | None = None,
-                 guard: int = SCAN_GUARD):
-        self.certs = enumerate_normalizers(ctx, c_basis, guard)
-        self.dagger_of = {cert.n: cert.dagger for cert in self.certs}
-        self.minimals = sorted((c.n for c in self.certs if not c.n.is_zero()),
-                               key=lambda e: e.key())
-
-
-def build_sigma_prime(ctx: Context, guard: int = SCAN_GUARD):
-    """Groupoid of normalizer ultrafilters, one arrow per minimal element, the
-    unit deltas first.  Returns (sigma_prime, ultra, rep_list) with
-    rep_list[i] the minimal representative of arrow i."""
-    ultra = UltraStructure(ctx, None, guard)
+def orbit_tables(ctx: Context, certs, guard: int = SCAN_GUARD):
+    """Sigma' on the orbit level: the monic corner units among certs, the unit
+    deltas first, and the rest by key, represent the scaling orbits.  Scaling
+    is bilinear, (c m)(c' m') = c c' (m m'), so with m_a m_b = scalar[a, b]
+    m_comp[a, b] the quotient by scaling and scalar give the whole product of
+    Sigma'.  Returns (representatives, lookup, quotient, scalar)."""
     g = ctx.groupoid
-    unit_reps = ctx.unit_deltas()
-    units = set(unit_reps)
-    if not units <= set(ultra.minimals):
+    units = ctx.unit_deltas()
+    reps = sorted((c for c in certs if c.n.coeffs and c.n.coeffs[min(c.n.coeffs)] == 1),
+                  key=lambda c: (c.n not in units, c.n.key()))
+    if [c.n for c in reps[:g.n_units]] != units:
         raise InternalCheckError("a unit delta is not a minimal normalizer")
-    rep_list = unit_reps + [n for n in ultra.minimals if n not in units]
-    # a minimal element is one corner unit: its arrows share source and target
-    first = [min(n.coeffs) for n in rep_list]
-    src, tgt = g.src[first], g.tgt[first]
-    vecs = np.array([ctx.vec(n) for n in rep_list])
+    m = len(reps)
+    if m * m > guard:
+        raise GuardExceeded("reconstruction orbit pairs", m * m, guard)
+    vecs = np.array([ctx.vec(c.n) for c in reps])
     index = {v.tobytes(): i for i, v in enumerate(vecs)}
 
-    def positions(rows) -> list:
-        out = [index.get(v.tobytes()) for v in rows]
-        if None in out:
-            raise InternalCheckError("product or dagger of minimal elements not minimal")
-        return out
+    def lookup(rows: np.ndarray):
+        """(orbit, c) per row: the row is c times the representative of its
+        monic form, c its first nonzero coordinate; orbit -1 where the monic
+        form is no representative (a zero row included)."""
+        lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+        inverse = {c: pow(c, ctx.p - 2, ctx.p) for c in set(lead.tolist())}
+        monic = rows * np.array([inverse[c] for c in lead.tolist()])[:, None] % ctx.p
+        return np.array([index.get(v.tobytes(), -1) for v in monic], dtype=np.int64), lead
 
-    comp = np.full((len(rep_list), len(rep_list)), -1, dtype=np.int64)
-    for a in range(len(rep_list)):
-        bs = np.nonzero(tgt == src[a])[0]
-        comp[a, bs] = positions(ctx.conv_single_batch(vecs[a], vecs[bs]))
-    inv = np.array(positions([ctx.vec(ultra.dagger_of[n]) for n in rep_list]), dtype=np.int64)
-    sigma_prime = Groupoid(g.n_units, src, tgt, comp, inv,
-                           label=f"ultra({ctx.label})")
-    ok, msg = sigma_prime.validate()
-    if not ok:
-        raise InternalCheckError(f"ultrafilter groupoid invalid: {msg}")
-    return sigma_prime, ultra, rep_list
+    def found(rows):
+        orbit, lead = lookup(rows)
+        if (orbit < 0).any():
+            raise InternalCheckError("product or dagger of minimal elements not minimal")
+        return orbit, lead
+
+    # a corner unit's arrows share source and target
+    first = [min(c.n.coeffs) for c in reps]
+    src, tgt = g.src[first], g.tgt[first]
+    comp = np.full((m, m), -1, dtype=np.int64)
+    scalar = np.zeros((m, m), dtype=np.int64)
+    for a in range(m):
+        bs = np.flatnonzero(tgt == src[a])
+        comp[a, bs], scalar[a, bs] = found(ctx.conv_single_batch(vecs[a], vecs[bs]))
+    inv, _ = found(np.array([ctx.vec(c.dagger) for c in reps]))
+    quotient = Groupoid(g.n_units, src, tgt, comp, inv, label=f"quotient({ctx.label})")
+    return [c.n for c in reps], lookup, quotient, scalar
 
 
 def _carries(f: np.ndarray, comp: np.ndarray, image: np.ndarray) -> bool:
@@ -411,52 +412,48 @@ def phi_check(ctx: Context, guard: int = SCAN_GUARD) -> dict:
     unit scaling, the arrow map phi: G -> quotient and the twist map
     psi: Sigma -> Sigma', (t, gamma) -> t delta_gamma."""
     g = ctx.groupoid
-    sigma_prime, ultra, rep_list = build_sigma_prime(ctx, guard)
+    certs = enumerate_normalizers(ctx, None, guard)
+    minimals = [c.n for c in certs if not c.n.is_zero()]
     runits = ctx.ring.units()
-    index = {n: i for i, n in enumerate(rep_list)}
     report = {
-        "normalizer_count": normalizer_count(ctx, ultra.certs),
-        "ultrafilter_count": len(rep_list),
+        "normalizer_count": normalizer_count(ctx, certs),
+        "ultrafilter_count": len(minimals),
         "expected_total_size": len(runits) * g.num_arrows,
-        "total_size_matches": len(rep_list) == len(runits) * g.num_arrows,
+        "total_size_matches": len(minimals) == len(runits) * g.num_arrows,
     }
-    scalings = [[index.get(n.scale(t)) for t in runits] for n in rep_list]
-    report["scaling_closed"] = all(None not in row for row in scalings)
+    reps, lookup, quotient, scalar = orbit_tables(ctx, certs, guard)
+    orbit, _ = lookup(np.array([ctx.vec(n) for n in minimals]))
+    report["scaling_closed"] = bool((orbit >= 0).all() and (
+        np.bincount(orbit, minlength=len(reps)) == len(runits)).all())
     if not report["scaling_closed"]:
         return report
-    # orbits numbered by their first member; the unit deltas come first, so
-    # the quotient's units are orbits 0 .. n_units - 1
-    firsts, orbit_of = np.unique(np.min(scalings, axis=1), return_inverse=True)
-    orbit_table = np.where(sigma_prime.comp >= 0, orbit_of[sigma_prime.comp], -1)
-    q_comp = orbit_table[np.ix_(firsts, firsts)]
-    report["orbit_count"] = len(firsts)
-    report["quotient_well_defined"] = _carries(orbit_of, sigma_prime.comp, q_comp)
-    quotient = Groupoid(g.n_units, orbit_of[sigma_prime.src[firsts]],
-                        orbit_of[sigma_prime.tgt[firsts]], q_comp,
-                        orbit_of[sigma_prime.inv[firsts]], label=f"quotient({ctx.label})")
+    report["orbit_count"] = len(reps)
+    # every product of minimals is a scaling of a representative product, and
+    # orbit_tables found all of those, so the product of orbits is defined
+    report["quotient_well_defined"] = True
     report["quotient_valid"], msg = quotient.validate()
     if not report["quotient_valid"]:
         report["quotient_violation"] = msg
         return report
     # arrow level: gamma -> orbit of up(delta_gamma)
-    found = [index.get(d) for d in ctx.basis_deltas()]
-    report["arrow_map_total"] = None not in found
+    phi, _ = lookup(np.eye(g.num_arrows, dtype=np.int64))
+    report["arrow_map_total"] = bool((phi >= 0).all())
     if not report["arrow_map_total"]:
         return report
-    phi = orbit_of[found]
-    report["arrow_map_bijective"] = len(set(phi.tolist())) == len(firsts) == g.num_arrows
+    report["arrow_map_bijective"] = len(set(phi.tolist())) == len(reps) == g.num_arrows
     report["arrow_map_units"] = np.array_equal(phi[:g.n_units], np.arange(g.n_units))
     report["arrow_map_homomorphism"] = _carries(phi, g.comp, quotient.comp)
     report["groupoid_isomorphic"] = (report["arrow_map_bijective"] and report["arrow_map_units"]
                                      and report["arrow_map_homomorphism"])
     # {n : n(gamma) != 0} is the union of up(t delta_gamma) over the units t
     # exactly when every block carrying gamma is a multiple of delta_gamma
-    report["support_sets_match"] = all(len(x.coeffs) == 1 for x in ultra.minimals)
-    # twist level: psi carries the total groupoid's table onto Sigma'
-    sigma, pair_of, _, _ = twistmod.sigma_total(ctx.cocycle)
-    psi = np.array([index[ctx.delta(a).scale(t)]
-                    for t, a in map(pair_of.get, range(sigma.num_arrows))], dtype=np.int64)
-    report["twist_squares_match"] = _carries(psi, sigma.comp, sigma_prime.comp)
+    report["support_sets_match"] = all(len(x.coeffs) == 1 for x in reps)
+    # twist level: psi(t, gamma) = t delta_gamma, and both products are
+    # bilinear, so psi carries the total groupoid's product onto that of
+    # Sigma' exactly when phi does on orbits and delta_a delta_b =
+    # omega(a, b) delta_ab, read from the cocycle's own table
+    report["twist_squares_match"] = report["arrow_map_homomorphism"] and all(
+        scalar[phi[a], phi[b]] == ctx.cocycle.omega(a, b) for a, b in g.composable_pairs())
     report["reconstructed"] = (report["total_size_matches"] and report["groupoid_isomorphic"]
                                and report["support_sets_match"]
                                and report["twist_squares_match"])

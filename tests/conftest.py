@@ -68,9 +68,11 @@ def oracle_context(name):
         "z2/F5": lambda: make_context(gpd.from_group(gpd.cyclic_table(2)), f5),
         "z2/Q": lambda: make_context(gpd.from_group(gpd.cyclic_table(2)), q),
         "pair4/F2": lambda: make_context(gpd.pair_groupoid(4), f2),
+        "pair4/F3": lambda: make_context(gpd.pair_groupoid(4), f3),
         "pair(4)/Q": lambda: make_context(gpd.pair_groupoid(4), q),
         "sign_flip(2)/Q": lambda: make_context(gpd.sign_flip_groupoid(2), q),
         "z3/F5": lambda: make_context(gpd.from_group(gpd.cyclic_table(3)), f5),
+        "z4/F5": lambda: make_context(gpd.from_group(gpd.cyclic_table(4)), f5),
         "k2xz2/F3": lambda: make_context(k2xz2, f3),
         "k2xz2/Q": lambda: make_context(k2xz2, q),
         "k2xz2/Q twisted": lambda: Context(k2xz2, q, k2xz2_bicharacter(k2xz2, q)),

@@ -14,6 +14,7 @@ from cartan_lab.errors import GuardExceeded, InputError, InternalCheckError
 from cartan_lab.groupoid import Groupoid
 from cartan_lab.normalizers import NormalizerCert
 from cartan_lab.steinberg import El, corner_bases, full_algebra_basis
+from cartan_lab.twist import Cocycle
 
 
 def verify_cert(cert: NormalizerCert, c_basis=None) -> bool:
@@ -445,3 +446,67 @@ def phi_check(ctx) -> dict:
                                and report["groupoid_isomorphic"]
                                and support_sets_ok and twist_ok)
     return report
+
+
+# -- total groupoid ----------------------------------------------------------
+
+def sigma_total(cocycle: Cocycle):
+    """The total groupoid on R^x x G for a validated twist: the Sigma that
+    reconstruction reads back from the normalizer ultrafilters.
+
+    Returns (sigma, pair_of, id_of, q) where pair_of maps sigma arrow ids to
+    (t, gamma), id_of inverts that, and q projects sigma arrows onto G.
+    Asserts that the unit-fiber copies of R^x are central in each isotropy.
+    """
+    g = cocycle.groupoid
+    r = cocycle.ring
+    if not r.is_finite:
+        raise InputError("total groupoid needs a finite coefficient ring")
+    units = r.units()
+    ids = {}
+    for u in g.units():
+        ids[(r.one, u)] = u
+    nxt = g.n_units
+    for t in units:
+        for a in range(g.num_arrows):
+            if (t, a) in ids:
+                continue
+            ids[(t, a)] = nxt
+            nxt += 1
+    total = nxt
+    pair_of = {v: k for k, v in ids.items()}
+    src = np.zeros(total, dtype=np.int64)
+    tgt = np.zeros(total, dtype=np.int64)
+    for (t, a), sid in ids.items():
+        src[sid] = int(g.src[a])
+        tgt[sid] = int(g.tgt[a])
+    comp = -np.ones((total, total), dtype=np.int64)
+    for (t, a), sa in ids.items():
+        for (t2, b), sb in ids.items():
+            c = g.comp[a, b]
+            if c >= 0:
+                tv = r.mul(r.mul(t, t2), cocycle.omega(a, b))
+                comp[sa, sb] = ids[(tv, int(c))]
+    inv = np.zeros(total, dtype=np.int64)
+    for (t, a), sa in ids.items():
+        ti = r.mul(r.try_inv(t), r.try_inv(cocycle.omega_inv_pair(a)))
+        inv[sa] = ids[(ti, int(g.inv[a]))]
+    sigma = Groupoid(g.n_units, src, tgt, comp, inv,
+                     label=f"total({g.label})")
+    ok, msg = sigma.validate()
+    if not ok:
+        raise InternalCheckError(f"total groupoid invalid: {msg}")
+    # fibers of the projection all have size |R^x|
+    q = np.array([pair_of[sid][1] for sid in range(total)], dtype=np.int64)
+    fiber = np.bincount(q, minlength=g.num_arrows)
+    if not (fiber == len(units)).all():
+        raise InternalCheckError("projection fibers are not uniform")
+    # centrality of the unit fibers: (t, u) commutes with every loop at u
+    for t in units:
+        for (t2, a), sa in ids.items():
+            u, w = int(g.tgt[a]), int(g.src[a])
+            left = comp[ids[(t, u)], sa]
+            right = comp[sa, ids[(t, w)]]
+            if left != right:
+                raise InternalCheckError("unit fiber is not central")
+    return sigma, pair_of, ids, q

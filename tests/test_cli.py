@@ -200,8 +200,8 @@ def test_obstruct_honours_guard_dim(capsys):
 
 def run_capped(argv):
     """The CLI in a child process with its address space capped at 2 GB, so
-    that a scan listing every residue of a huge ring fails fast instead of
-    exhausting the machine's memory."""
+    that a scan listing every residue of a huge ring, or a table too large to
+    allocate, fails fast instead of exhausting the machine's memory."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
     proc = subprocess.run([sys.executable, "-m", "cartan_lab.cli", *argv],
@@ -230,6 +230,33 @@ def test_huge_modulus_is_refused(tmp_path, command, job, ring, message):
     rep = json.loads(out)
     assert rep["error"] == "guard-exceeded"
     assert rep["message"] == message
+
+
+def cyclic_ctx(n, ring):
+    return {"context": {"groupoid": {"build": {"kind": "cyclic_group", "n": n}},
+                        "ring": ring, "cocycle": None}}
+
+
+def test_reconstruct_honours_guard_dim(tmp_path, capsys):
+    # Z4/F5: 5^4 corner candidates pass a guard of 1000, but the 256 corner
+    # units fall in 64 scaling orbits, 64^2 orbit pairs
+    path = write_ctx(tmp_path, cyclic_ctx(4, "F5"))
+    code, out = run_cli(["reconstruct", "--context", path, "--guard-dim", "1000"], capsys)
+    assert code == 3
+    rep = json.loads(out)
+    assert rep["error"] == "guard-exceeded"
+    assert rep["message"] == "reconstruction orbit pairs: measured 4096 exceeds guard 1000"
+
+
+def test_reconstruct_z6_f7_is_refused_before_its_tables(tmp_path):
+    # Z6/F7: the scan's 7^6 candidates pass the default guard, but its 46,656
+    # corner units fall in 7,776 orbits, whose product table is refused
+    code, out = run_capped(["reconstruct", "--context", write_ctx(tmp_path, cyclic_ctx(6, "F7"))])
+    assert code == 3
+    rep = json.loads(out)
+    assert rep["error"] == "guard-exceeded"
+    assert rep["message"] == ("reconstruction orbit pairs: measured 60466176 "
+                              "exceeds guard 3000000")
 
 
 def test_average_honours_guard_dim(capsys):

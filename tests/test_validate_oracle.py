@@ -17,6 +17,7 @@ from cartan_lab import expectation as exp_mod
 from cartan_lab import groupoid as gpd
 from cartan_lab.steinberg import Context
 
+import normalizer_oracle as oracle
 from conftest import (K2XZ2_PERMS, KLEIN_TABLE, k2xz2_bicharacter, klein_bicharacter,
                       make_context)
 
@@ -129,7 +130,7 @@ def attached():
 
 def valid_cocycles():
     kg, kx = klein(), k2xz2()
-    sigma = twist.sigma_total(klein_bicharacter(kg, F3))[0]
+    sigma = oracle.sigma_total(klein_bicharacter(kg, F3))[0]
     return {
         "klein/F3": klein_bicharacter(kg, F3),
         "klein/F5": klein_bicharacter(kg, F5),
