@@ -93,6 +93,8 @@ def _subalgebra_of(ctx: Context, data: dict) -> Basis | None:
         return None
     if isinstance(gens, dict):
         gens = [gens]
+    if not isinstance(gens, list):
+        raise InputError("'subalgebra' must be an element or a list of elements")
     els = [el_from_json(ctx, g) for g in gens]
     # generators are closed into an algebra containing the diagonal
     return algebra_closure(ctx, els)
@@ -144,8 +146,12 @@ def _run_two_arrows(ctx: Context, data: dict, opts: dict):
 
 def _run_bad_apple(ctx: Context, data: dict, opts: dict):
     unit = _field_of(data, "unit")
-    c_basis, proof = inclmod.counterexample_bad_apple(
-        ctx, v=None if unit is None else int(unit), guard=opts["guard"])
+    if unit is not None:
+        try:
+            unit = int(unit)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"'unit' must be a unit id, not {unit!r}") from exc
+    c_basis, proof = inclmod.counterexample_bad_apple(ctx, v=unit, guard=opts["guard"])
     return proof, proof["classification"].verdict
 
 

@@ -1,21 +1,22 @@
 """Sign families and averaging recovery of the unit-restriction expectation.
 
-For bisections B_1..B_k whose target sets avoid their source sets, a
-recursion produces 2^k diagonal elements with values +-1 on the units
-whose symmetrized products cancel every arrow carried by the B_i.
-Averaging u_i * f * u_i over such a family therefore reproduces the
-restriction of f to the unit space, provided the groupoid is principal
-so that a refined bisection decomposition of f exists.
+For bisections B_1..B_k whose target sets T_j avoid their source sets,
+piece j gives the diagonal sign e_j = 1 - 2 [u in T_j], and the family is
+the 2^k products of choices of 1 or e_j.  Diagonal elements multiply
+pointwise, so a member is a parity: member i flips bisection j when bit
+k-1-j of i is set, and its value at a unit u is -1 exactly when an odd
+number of the flipped T_j hold u.  For every pair of units
 
-The average has a closed form.  Piece j contributes the sign
-e_j = 1 - 2 [u in T_j], where T_j is its target set, and the members are
-the 2^k products of choices of 1 or e_j, so every member is diagonal and
+    sum_m m(t) m(s) = prod_j (1 + e_j(t) e_j(s)),
 
-    sum_m m(t) m(s) = prod_j (1 + e_j(t) e_j(s)).
+which vanishes when t = r(beta), s = s(beta) for an arrow beta of some B_j,
+since then t lies in T_j and s does not.  Averaging u_i * f * u_i over the
+family therefore reproduces the restriction of f to the unit space,
+provided the groupoid is principal so that f splits into such bisections.
 
-Hence (1 / 2^k) sum_m m f m keeps f(beta) where every T_j holds both
-r(beta) and s(beta) or neither, and is 0 elsewhere: O(k |supp f|) work
-and no convolution.
+The average has a closed form: (1 / 2^k) sum_m m f m keeps f(beta) where
+every T_j holds both r(beta) and s(beta) or neither, and is 0 elsewhere:
+O(k |supp f|) work and no convolution.
 
 With isotropy present no diagonal family can do this: the averaged value
 at an isotropy arrow and at its base unit share the common exact factor
@@ -30,6 +31,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import coeff as coeffmod
 from .errors import GuardExceeded, InputError, InternalCheckError
 from .normalizers import SCAN_GUARD
@@ -38,7 +41,8 @@ from .steinberg import Context, El, decompose_bisections, is_bisection
 
 @dataclass(frozen=True)
 class SignFamily:
-    """2^k diagonal elements taking values in {+1, -1} on the region."""
+    """2^k diagonal elements, each +1 or -1 at every unit of the region,
+    which is the whole unit space."""
 
     members: tuple
     region: frozenset
@@ -58,17 +62,17 @@ class SignFamily:
         }
 
 
-def sign_family(ctx: Context, bisections, region=None,
-                guard: int = SCAN_GUARD) -> SignFamily:
-    """Build the 2^k cancellation family for the given bisections.
+def sign_family(ctx: Context, bisections, guard: int = SCAN_GUARD) -> SignFamily:
+    """The 2^k cancellation family for the given bisections, as parities.
 
     Each input must be a bisection whose target set is disjoint from its
-    source set.  The region defaults to the whole unit space (the
-    simplest valid choice; any superset of the touched units works) and
-    every member takes values +1 or -1 there.  The defining property,
-    sum_j u_j(r(beta)) u_j(s(beta)) = 0 for every beta in every input
-    bisection, is checked exhaustively before returning.  GuardExceeded
-    when the 2^k members would exceed the guard.
+    source set.  Member i is -1 at a unit u exactly when u lies in an odd
+    number of the target sets T_j with bit k-1-j of i set, and +1 elsewhere
+    (module docstring).  The defining property,
+    sum_m m(r(beta)) m(s(beta)) = 0 for every beta in every input bisection,
+    is checked on the Gram matrix of the signs before returning; its entries
+    are integers, so 0 there is 0 in the ring.  GuardExceeded when the 2^k
+    members would exceed the guard.
     """
     r = ctx.ring
     g = ctx.groupoid
@@ -89,67 +93,24 @@ def sign_family(ctx: Context, bisections, region=None,
                 "bisection %s has range meeting source at unit %d"
                 % (sorted(arrows), min(clash)))
         bis.append(arrows)
-    units = set(int(u) for u in g.units())
-    touched = set()
-    for arrows in bis:
-        for a in arrows:
-            touched.add(int(g.tgt[a]))
-            touched.add(int(g.src[a]))
-    if region is None:
-        region = units
-    region = frozenset(int(u) for u in region)
-    if not region <= units:
-        raise InputError("region must consist of units")
-    if not touched <= region:
-        raise InputError("region must contain every range and source unit")
-    if 2 ** len(bis) > guard:
-        raise GuardExceeded("sign family members", 2 ** len(bis), guard)
+    k = len(bis)
+    if 2 ** k > guard:
+        raise GuardExceeded("sign family members", 2 ** k, guard)
 
-    one = ctx.one()
-    two = r.normalize(2)
-    members = [one]
-    scope: set = set()
-    for arrows in bis:
-        flip = one - ctx.indicator(sorted({int(g.tgt[a]) for a in arrows}), two)
-        pair = (one, flip)
-        # diagonal elements multiply pointwise, since omega(v, v) = 1
-        new = [ctx.element({v: r.mul(c, u.value(v)) for v, c in w.coeffs.items()})
-               for w in members for u in pair]
-        scope |= arrows
-        # ring identity; asserting it guards the index bookkeeping
-        for beta in sorted(scope):
-            t, s = int(g.tgt[beta]), int(g.src[beta])
-            lhs = r.zero
-            for m in new:
-                lhs = r.add(lhs, r.mul(m.value(t), m.value(s)))
-            wsum = r.zero
-            for w in members:
-                wsum = r.add(wsum, r.mul(w.value(t), w.value(s)))
-            usum = r.zero
-            for u in pair:
-                usum = r.add(usum, r.mul(u.value(t), u.value(s)))
-            if lhs != r.mul(wsum, usum):
-                raise InternalCheckError(
-                    "sign family recursion lost the factorization identity")
-        members = new
-
-    minus_one = r.neg(r.one)
-    for m in members:
-        if any(not g.is_unit(a) for a in m.coeffs):
-            raise InternalCheckError("sign family member leaves the unit space")
-        for u in region:
-            if m.value(u) != r.one and m.value(u) != minus_one:
-                raise InternalCheckError(
-                    "sign family member takes a value outside {+1,-1} on the region")
-    for arrows in bis:
-        for beta in arrows:
-            t, s = int(g.tgt[beta]), int(g.src[beta])
-            tot = r.zero
-            for m in members:
-                tot = r.add(tot, r.mul(m.value(t), m.value(s)))
-            if tot != r.zero:
-                raise InternalCheckError(f"sign family fails to cancel arrow {beta}")
-    return SignFamily(tuple(members), region, tuple(bis))
+    targets = np.zeros((k, g.n_units), dtype=np.int64)
+    for j, arrows in enumerate(bis):
+        targets[j, g.tgt[sorted(arrows)]] = 1
+    flips = (np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    signs = 1 - 2 * (flips @ targets % 2)
+    carried = np.array(sorted(set().union(*bis)), dtype=np.int64)
+    bad = (signs.T @ signs)[g.tgt[carried], g.src[carried]] != 0
+    if bad.any():
+        raise InternalCheckError(f"sign family fails to cancel arrow {carried[bad][0]}")
+    value = {1: r.one, -1: r.neg(r.one)}
+    units = g.units()
+    members = tuple(ctx.element({u: value[x] for u, x in zip(units, row)})
+                    for row in signs.tolist())
+    return SignFamily(members, frozenset(units), tuple(bis))
 
 
 def average_expectation(ctx: Context, f: El, bisections=None,
@@ -178,7 +139,7 @@ def average_expectation(ctx: Context, f: El, bisections=None,
     if not g.is_principal():
         raise InputError("averaging needs a principal groupoid")
     if bisections is None:
-        pieces = decompose_bisections(f, refined=True)
+        pieces = decompose_bisections(f)
         bisections = [arrows for _, arrows, kind in pieces if kind == "offunit"]
     covered = set()
     for b in bisections:

@@ -510,10 +510,15 @@ def from_json(data: dict) -> Groupoid:
             src[a] = int(rec["src"])
             tgt[a] = int(rec["tgt"])
         comp = -np.ones((n, n), dtype=np.int64)
-        for a, b, c in data["comp"]:
-            comp[int(a), int(b)] = int(c)
+        for entry in data["comp"]:
+            a, b, c = (int(x) for x in entry)
+            if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
+                raise InputError(f"comp entry {[a, b, c]} names an arrow outside 0..{n - 1}")
+            comp[a, b] = c
         inv = np.array([int(x) for x in data["inv"]], dtype=np.int64)
-    except (KeyError, TypeError, ValueError) as exc:
+    except InputError:   # a ValueError too; keep its own message
+        raise
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"malformed groupoid JSON: {exc}") from exc
     g = Groupoid(n_units, src, tgt, comp, inv, label=data.get("label", "groupoid"))
     return _finalize(g)

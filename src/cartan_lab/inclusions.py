@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GuardExceeded, InputError, InternalCheckError
-from .steinberg import (Basis, Context, El, algebra_closure, full_algebra_basis,
-                        intersect_spans, is_bisection, span_closure)
+from .steinberg import (Basis, Context, El, algebra_closure, corner_blocks,
+                        full_algebra_basis, intersect_spans, is_bisection, span_closure)
 from .normalizers import (SCAN_GUARD, NormalizerCert, enumerate_normalizers,
                           is_free_normalizer, normalizer_count)
 
@@ -614,22 +614,16 @@ def counterexample_bad_apple(ctx: Context, v: int | None = None,
 def bimodule_spectral(ctx: Context, c: El) -> dict:
     """Is the D-bimodule generated by c the full arrow-set algebra A(U)?
 
-    bi(c) is spanned by the unit-pair blocks delta_u c delta_w.  On principal
-    groupoids every block is a single arrow, so the answer must be yes; a
-    failure there is an internal error, not a verdict.
+    bi(c) is spanned by the unit-pair blocks delta_u c delta_w, which are c
+    restricted to the arrows from w to u (steinberg.corner_blocks).  On
+    principal groupoids every block is a single arrow, so the answer must be
+    yes; a failure there is an internal error, not a verdict.
     """
     if not ctx.ring.is_field:
         raise InputError("bimodule test needs field coefficients")
     g = ctx.groupoid
-    bi = Basis(ctx)
-    blocks = {}
-    for u in g.units():
-        du = ctx.delta(u)
-        for w in g.units():
-            blk = du * c * ctx.delta(w)
-            if not blk.is_zero():
-                blocks[(int(u), int(w))] = blk
-                bi.extend(blk)
+    blocks = corner_blocks(c)
+    bi = span_closure(ctx, blocks.values())
     support = sorted(c.support())
     spectral = all(bi.contains(ctx.delta(a)) for a in support)
     if spectral != (bi.dim == len(support)):
@@ -646,7 +640,7 @@ def bimodule_spectral(ctx: Context, c: El) -> dict:
     }
     if not spectral:
         witness = None
-        for (u, w), blk in sorted(blocks.items()):
+        for (u, w), blk in blocks.items():
             if u != w or len(blk.coeffs) < 2:
                 continue
             movers = [a for a in blk.coeffs if not g.is_unit(a)
@@ -662,7 +656,7 @@ def bimodule_spectral(ctx: Context, c: El) -> dict:
                        "proportional_on_basis": prop}
             break
         if witness is None:
-            bad = next((uw, blk) for (uw, blk) in sorted(blocks.items())
+            bad = next((uw, blk) for (uw, blk) in blocks.items()
                        if not all(bi.contains(ctx.delta(a)) for a in blk.coeffs))
             witness = {"block": bad[0], "block_support": sorted(bad[1].coeffs)}
         report["witness"] = witness

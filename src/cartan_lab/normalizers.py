@@ -94,8 +94,8 @@ import numpy as np
 from cartan_lab import exactlin
 from cartan_lab.errors import GuardExceeded, InputError, InternalCheckError
 from cartan_lab.groupoid import Groupoid
-from cartan_lab.steinberg import (Basis, Context, El, corner_bases, full_algebra_basis,
-                                  is_bisection)
+from cartan_lab.steinberg import (Basis, Context, El, corner_bases, corner_blocks,
+                                  full_algebra_basis, is_bisection)
 
 SCAN_GUARD = 3_000_000
 BATCH_CHUNK = 4096
@@ -159,15 +159,11 @@ def is_normalizer(ctx: Context, n: El, c_basis: Basis | None = None):
     if c_basis is not None and not c_basis.contains(n):
         raise InputError("candidate lies outside the subalgebra")
     corners = corner_bases(basis)
-    g = ctx.groupoid
-    blocks: dict = {}
-    for a, c in n.coeffs.items():
-        blocks.setdefault((int(g.tgt[a]), int(g.src[a])), {})[a] = c
+    blocks = corner_blocks(n)
     if len({v for v, _ in blocks}) < len(blocks) or len({w for _, w in blocks}) < len(blocks):
         return None
     dagger: dict = {}
-    for (v, w), coeffs in blocks.items():
-        x = El(ctx, coeffs)
+    for (v, w), x in blocks.items():
         y = _block_partner(ctx, x, v, corners.get((w, v)))
         if y is None:
             return None

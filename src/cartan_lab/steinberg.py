@@ -295,9 +295,14 @@ class El:
 
 
 def el_from_json(ctx: Context, data: dict) -> El:
+    if not isinstance(data, dict):
+        raise InputError(f"an element is an object {{arrow id: coefficient}}, not {data!r}")
     out = {}
     for k, v in data.items():
-        a = int(k)
+        try:
+            a = int(k)
+        except ValueError as exc:
+            raise InputError(f"element key {k!r} is not an arrow id") from exc
         if not (0 <= a < ctx.dim):
             raise InputError(f"arrow id {a} out of range")
         out[a] = ctx.ring.coeff_from_str(str(v))
@@ -420,6 +425,18 @@ def full_algebra_basis(ctx: Context) -> Basis:
     return span_closure(ctx, ctx.basis_deltas())
 
 
+def corner_blocks(f: El) -> dict:
+    """The nonzero blocks delta_v f delta_w of f, keyed (v, w) in sorted order.
+
+    The cocycle is normalized, so delta_v f delta_w is f restricted to the
+    arrows from w to v: one pass over supp f, no convolution."""
+    g = f.ctx.groupoid
+    blocks: dict = {}
+    for a, c in f.coeffs.items():
+        blocks.setdefault((int(g.tgt[a]), int(g.src[a])), {})[a] = c
+    return {vw: El(f.ctx, coeffs) for vw, coeffs in sorted(blocks.items())}
+
+
 def corner_bases(basis: Basis) -> dict:
     """The nonzero corners delta_v C delta_w of C = span(basis), keyed (v, w).
 
@@ -494,20 +511,22 @@ def is_bisection(g: gpd.Groupoid, arrows) -> bool:
     return len(set(tg)) == len(arrows) and len(set(sr)) == len(arrows)
 
 
-def decompose_bisections(f: El, refined: bool = False):
-    """Write f as a sum of constant multiples of bisection indicators.
+def decompose_bisections(f: El):
+    """Write f as a sum of constant multiples of bisection indicators whose
+    target sets avoid their source sets, the pieces sign families need.
 
-    Plain mode greedily packs equal-coefficient arrows into bisections.
-    Refined mode additionally keeps every non-unit piece's target set disjoint
-    from its source set (which needs a principal groupoid) and keeps unit
-    arrows in unit-only pieces.  Deterministic: arrows are scanned ascending.
-    Returns a list of (value, arrows_frozenset, kind) with kind in
-    {"unit", "offunit", "mixed"}.
+    Arrows with equal coefficients are packed greedily, ascending, into
+    pieces: unit arrows into unit-only pieces, every other arrow into a piece
+    none of whose targets or sources it shares as a target or a source.
+    That needs a principal groupoid, since an isotropy arrow's target is its
+    source.  Deterministic.  Returns a list of (value, arrows_frozenset,
+    kind) with kind "unit" or "offunit".
     """
     ctx = f.ctx
     g = ctx.groupoid
-    if refined and not g.is_principal():
-        raise InputError("refined decomposition needs a principal groupoid")
+    if not g.is_principal():
+        raise InputError("bisection pieces with ranges off their sources "
+                         "need a principal groupoid")
     by_value: dict = {}
     for a in sorted(f.coeffs):
         by_value.setdefault(f.coeffs[a], []).append(a)
@@ -517,31 +536,16 @@ def decompose_bisections(f: El, refined: bool = False):
         for a in arrows:
             unit = g.is_unit(a)
             ta, sa = int(g.tgt[a]), int(g.src[a])
-            placed = False
-            for grp in groups:
-                if refined and grp["unit"] != unit:
-                    continue
-                if ta in grp["tgts"] or sa in grp["srcs"]:
-                    continue
-                if refined and not unit:
-                    if ta in grp["srcs"] or sa in grp["tgts"] or ta == sa:
-                        continue
-                grp["arrows"].append(a)
-                grp["tgts"].add(ta)
-                grp["srcs"].add(sa)
-                grp["unit"] = grp["unit"] and unit
-                placed = True
-                break
-            if not placed:
-                groups.append({"arrows": [a], "tgts": {ta}, "srcs": {sa}, "unit": unit})
-        for grp in groups:
-            if all(g.is_unit(a) for a in grp["arrows"]):
-                kind = "unit"
-            elif all(not g.is_unit(a) for a in grp["arrows"]):
-                kind = "offunit"
+            grp = next((grp for grp in groups
+                        if grp["unit"] == unit and not {ta, sa} & grp["ends"]), None)
+            if grp is None:
+                groups.append({"arrows": [a], "ends": {ta, sa}, "unit": unit})
             else:
-                kind = "mixed"
-            pieces.append((value, frozenset(grp["arrows"]), kind))
+                grp["arrows"].append(a)
+                grp["ends"] |= {ta, sa}
+        for grp in groups:
+            pieces.append((value, frozenset(grp["arrows"]),
+                           "unit" if grp["unit"] else "offunit"))
     # exact reassembly is part of the contract
     back = ctx.zero()
     for value, arrows, _ in pieces:

@@ -107,9 +107,12 @@ def trivial_cocycle(g: Groupoid, r: Ring) -> Cocycle:
 def cocycle_from_json(g: Groupoid, r: Ring, entries) -> Cocycle:
     """Parse a cocycle table; Context validates it when it is built."""
     table = {}
+    n = g.num_arrows
     try:
         for rec in entries or []:
             a, b = int(rec["a"]), int(rec["b"])
+            if not (0 <= a < n and 0 <= b < n):
+                raise InputError(f"cocycle entry ({a},{b}) names an arrow outside 0..{n - 1}")
             v = r.coeff_from_str(str(rec["value"]))
             if v != r.one:
                 table[(a, b)] = v

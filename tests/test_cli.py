@@ -91,7 +91,9 @@ def test_broken_table_exits_two_with_witness(tmp_path, capsys):
     {"groupoid": {"build": {"kind": "pair", "n": "x"}}, "ring": "F3", "cocycle": None},
     {"groupoid": {"build": {"kind": "cyclic_group", "n": 2}}, "ring": "F3",
      "cocycle": [{"a": 1, "value": "2"}]},
-], ids=["build-n-not-an-integer", "cocycle-entry-without-b"])
+    {"groupoid": {"units": 1, "arrows": [{"id": 0, "src": 2 ** 63, "tgt": 0}],
+                  "comp": [[0, 0, 0]], "inv": [0]}, "ring": "F3", "cocycle": None},
+], ids=["build-n-not-an-integer", "cocycle-entry-without-b", "src-past-int64"])
 def test_malformed_context_exits_two(tmp_path, capsys, context):
     path = write_ctx(tmp_path, {"context": context})
     code, out = run_cli(["classify", "--context", path], capsys)
@@ -99,6 +101,62 @@ def test_malformed_context_exits_two(tmp_path, capsys, context):
     rep = json.loads(out)
     assert rep["error"] == "input-error"
     assert "malformed" in rep["message"]
+
+
+Z2_TABLE = {"units": 1, "arrows": [{"id": 0, "src": 0, "tgt": 0}, {"id": 1, "src": 0, "tgt": 0}],
+            "comp": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]], "inv": [0, 1]}
+PAIR2_TABLE = {"units": 2,
+               "arrows": [{"id": 0, "src": 0, "tgt": 0}, {"id": 1, "src": 1, "tgt": 1},
+                          {"id": 2, "src": 0, "tgt": 1}, {"id": 3, "src": 1, "tgt": 0}],
+               "comp": [[0, 0, 0], [1, 1, 1], [2, 0, 2], [1, 2, 2], [3, 1, 3], [0, 3, 3],
+                        [2, 3, 1], [3, 2, 0]],
+               "inv": [0, 1, 3, 2]}
+
+
+def with_comp(table, comp):
+    return dict(table, comp=comp)
+
+
+@pytest.mark.parametrize("command", ["validate", "classify", "bimodule", "bad-apple"])
+@pytest.mark.parametrize("groupoid, cocycle", [
+    (with_comp(PAIR2_TABLE, PAIR2_TABLE["comp"] + [[7, 0, 0]]), None),
+    (with_comp(PAIR2_TABLE, PAIR2_TABLE["comp"][:-1] + [[3, 2, 9]]), None),
+    # without the (1,1) entry, read through wraparound as comp[1,1] = 0
+    (with_comp(Z2_TABLE, Z2_TABLE["comp"][:-1] + [[-1, -1, 0]]), None),
+    ({"build": {"kind": "pair", "n": 2}}, [{"a": 9, "b": 0, "value": "2"}]),
+    ({"build": {"kind": "cyclic_group", "n": 2}}, [{"a": -1, "b": -1, "value": "2"}]),
+], ids=["comp-row-past-the-table", "comp-product-past-the-table", "comp-negative-ids",
+        "cocycle-arrow-past-the-table", "cocycle-negative-ids"])
+def test_arrow_ids_outside_the_table_exit_two(tmp_path, capsys, command, groupoid, cocycle):
+    data = {"context": {"groupoid": groupoid, "ring": "F3", "cocycle": cocycle,
+                        "element": {"0": "1"}}}
+    code, out = run_cli([command, "--context", write_ctx(tmp_path, data)], capsys)
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["error"] == "input-error"
+    assert "outside 0.." in rep["message"]
+
+
+@pytest.mark.parametrize("command, field, value", [
+    ("bimodule", "element", [1, 2]),
+    ("average", "element", "abc"),
+    ("bimodule", "element", {"x": "1"}),
+    ("obstruct", "element", {"1.5": "1"}),
+    ("classify", "subalgebra", 5),
+    ("classify", "subalgebra", [{"x": "1"}]),
+    ("classify", "subalgebra", ["0"]),
+    ("bad-apple", "unit", "a"),
+    ("bad-apple", "unit", [0]),
+], ids=["element-list", "element-string", "element-key-x", "element-key-fraction",
+        "subalgebra-number", "subalgebra-key-x", "subalgebra-of-strings", "unit-letter",
+        "unit-list"])
+def test_malformed_fields_exit_two(tmp_path, capsys, command, field, value):
+    data = {"context": dict(PAIR2_F3["context"], **{field: value})}
+    code, out = run_cli([command, "--context", write_ctx(tmp_path, data)], capsys)
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["error"] == "input-error"
+    assert rep["command"] == command
 
 
 def test_corpus_isolates_a_malformed_job(tmp_path, capsys):

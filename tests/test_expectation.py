@@ -79,6 +79,76 @@ def test_sign_family_json(pair2_q):
     assert data["size"] == 2
 
 
+def symmetrized(ctx, family, beta):
+    """sum_m m(r(beta)) m(s(beta)) in the ring."""
+    r, g = ctx.ring, ctx.groupoid
+    t, s = int(g.tgt[beta]), int(g.src[beta])
+    tot = r.zero
+    for m in family:
+        tot = r.add(tot, r.mul(m.value(t), m.value(s)))
+    return tot
+
+
+def recursive_sign_family(ctx, bisections):
+    """The sign family by its recursion, the reference for the parity form:
+    member list w gives [w * 1, w * e_j] for each w in turn, diagonal
+    products taken pointwise, and the factorization of the symmetrized sum
+    re-proved on every arrow seen so far at every step."""
+    r = ctx.ring
+    g = ctx.groupoid
+    bis = [frozenset(int(a) for a in b) for b in bisections]
+    one = ctx.one()
+    members = [one]
+    scope = set()
+    for arrows in bis:
+        flip = one - ctx.indicator(sorted({int(g.tgt[a]) for a in arrows}), r.normalize(2))
+        pair = (one, flip)
+        new = [ctx.element({v: r.mul(c, u.value(v)) for v, c in w.coeffs.items()})
+               for w in members for u in pair]
+        scope |= arrows
+        for beta in sorted(scope):
+            assert symmetrized(ctx, new, beta) == r.mul(symmetrized(ctx, members, beta),
+                                                        symmetrized(ctx, pair, beta))
+        members = new
+    for m in members:
+        assert all(m.value(u) in (r.one, r.neg(r.one)) for u in g.units())
+    for arrows in bis:
+        for beta in arrows:
+            assert symmetrized(ctx, members, beta) == r.zero
+    return exp_mod.SignFamily(tuple(members), frozenset(g.units()), tuple(bis))
+
+
+def random_pieces(ctx, rng):
+    """The off-unit pieces of a random element on a few arrows, with few
+    distinct coefficients, so that k stays small; shuffled, sometimes split
+    into single arrows."""
+    g = ctx.groupoid
+    arrows = rng.sample(list(g.off_units()), rng.randint(1, min(6, len(g.off_units()))))
+    f = ctx.element({a: rng.choice((1, 2)) for a in arrows})
+    pieces = [arrs for _, arrs, kind in decompose_bisections(f) if kind == "offunit"]
+    if rng.random() < 0.3:
+        pieces = [frozenset({a}) for arrs in pieces for a in sorted(arrs)]
+    rng.shuffle(pieces)
+    return pieces
+
+
+@pytest.mark.parametrize("ring", [coeff.Ring(coeff.RATIONALS)]
+                         + [coeff.Ring(coeff.PRIME_FIELD, p) for p in (3, 7, 101)],
+                         ids=["Q", "F3", "F7", "F101"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_parity_family_matches_the_recursion(n, ring):
+    ctx = make_context(gpd.pair_groupoid(n), ring)
+    rng = random.Random(f"{n}/{ring}")
+    families = [[]] + [random_pieces(ctx, rng) for _ in range(15)]
+    for pieces in families:
+        fam = exp_mod.sign_family(ctx, pieces)
+        ref = recursive_sign_family(ctx, pieces)
+        assert fam.members == ref.members
+        assert fam.bisections == ref.bisections
+        assert fam.region == ref.region
+        assert fam.to_json() == ref.to_json()
+
+
 # -- averaging ---------------------------------------------------------------
 
 def test_average_matches_restriction_by_hand():
@@ -119,7 +189,7 @@ def test_average_independent_of_bisection_family(pair3_q):
     ctx = pair3_q
     f = ctx.element({0: 1, 3: 2, 4: -1, 8: 5})
     default_avg, _ = exp_mod.average_expectation(ctx, f)
-    pieces = decompose_bisections(f, refined=True)
+    pieces = decompose_bisections(f)
     offs = [arrs for _, arrs, kind in pieces if kind != "unit"]
     singles = [frozenset({a}) for arrs in offs for a in arrs]
     rng = random.Random(11)

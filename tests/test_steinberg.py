@@ -9,8 +9,9 @@ from cartan_lab import coeff, twist
 from cartan_lab import groupoid as gpd
 from cartan_lab.errors import InputError, InternalCheckError
 from cartan_lab.steinberg import (Basis, Context, algebra_closure, context_from_json,
-                                  decompose_bisections, el_from_json, full_algebra_basis,
-                                  intersect_spans, is_bisection, span_closure)
+                                  corner_blocks, decompose_bisections, el_from_json,
+                                  full_algebra_basis, intersect_spans, is_bisection,
+                                  span_closure)
 
 from conftest import (KLEIN_TABLE, ORACLE_CONTEXTS, klein_bicharacter, largest_allowed_prime,
                       make_context, oracle_context)
@@ -130,14 +131,39 @@ def test_int64_paths_match_the_dict_path_at_the_largest_prime(widest_contexts, d
         assert np.array_equal(ctx.conv_single_batch(F[0], G)[0], want[0])
 
 
-def test_decompose_bisections_pieces_are_bisections(z3_f5):
-    ctx = z3_f5
+def convolved_blocks(f):
+    """delta_u f delta_w for every pair of units, by convolution, zeros dropped."""
+    ctx = f.ctx
+    blocks = {}
+    for u in ctx.groupoid.units():
+        for w in ctx.groupoid.units():
+            blk = ctx.delta(u) * f * ctx.delta(w)
+            if not blk.is_zero():
+                blocks[(int(u), int(w))] = blk
+    return blocks
+
+
+@pytest.mark.parametrize("name", ["klein/F3 twisted", "k2xz2/F3 twisted",
+                                  "iso(pair2+pair1,Z3)/F3", "pair3/F3"])
+def test_corner_blocks_match_the_convolved_blocks(name):
+    ctx = oracle_context(name)
+    rng = random.Random(23)
+    elements = [ctx.random_element(rng) for _ in range(30)] + ctx.basis_deltas() + [ctx.zero()]
+    for f in elements:
+        blocks = corner_blocks(f)
+        assert list(blocks) == sorted(blocks)
+        assert blocks == convolved_blocks(f)
+
+
+def test_decompose_bisections_pieces_are_bisections(pair3_f3):
+    ctx = pair3_f3
+    g = ctx.groupoid
     rng = random.Random(17)
     for _ in range(10):
         f = ctx.random_element(rng)
         for value, arrows, kind in decompose_bisections(f):
-            assert is_bisection(ctx.groupoid, arrows)
-            assert kind in ("unit", "offunit", "mixed")
+            assert is_bisection(g, arrows)
+            assert kind == ("unit" if all(g.is_unit(a) for a in arrows) else "offunit")
             for a in arrows:
                 assert f.value(a) == value
 
@@ -148,7 +174,7 @@ def test_refined_decomposition_keeps_ranges_off_sources(pair3_f3):
     rng = random.Random(19)
     for _ in range(10):
         f = ctx.random_element(rng)
-        for value, arrows, kind in decompose_bisections(f, refined=True):
+        for value, arrows, kind in decompose_bisections(f):
             assert kind in ("unit", "offunit")
             if kind == "offunit":
                 tgts = {int(g.tgt[a]) for a in arrows}
@@ -158,7 +184,7 @@ def test_refined_decomposition_keeps_ranges_off_sources(pair3_f3):
 
 def test_refined_decomposition_needs_principal(z2_f3):
     with pytest.raises(InputError):
-        decompose_bisections(z2_f3.one(), refined=True)
+        decompose_bisections(z2_f3.one())
 
 
 def test_algebra_closure_of_symmetric_sum_is_two_dimensional(z3_f5):
