@@ -41,6 +41,12 @@ def rref_mod_p(mat: np.ndarray, p: int):
     return m, pivots
 
 
+def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a b mod p for residue matrices, each product reduced before the sum,
+    since int64 holds (p-1)^2 but not a sum of several."""
+    return (a[:, :, None] * b[None, :, :] % p).sum(axis=1) % p
+
+
 def solve_mod_p(a: np.ndarray, b: np.ndarray, p: int):
     """One solution of a x = b mod p (free variables set to 0), or None."""
     a = np.array(a, dtype=np.int64) % p

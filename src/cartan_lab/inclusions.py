@@ -13,10 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GuardExceeded, InputError, InternalCheckError
-from .steinberg import (Basis, Context, El, algebra_closure, corner_blocks,
+from .steinberg import (Basis, Context, El, algebra_closure, corner_bases, corner_blocks,
                         full_algebra_basis, intersect_spans, is_bisection, span_closure)
-from .normalizers import (SCAN_GUARD, NormalizerCert, enumerate_normalizers,
-                          is_free_normalizer, normalizer_count)
+from .normalizers import (SCAN_GUARD, check_scan_guard, counted_corners,
+                          enumerate_normalizers, first_unit,
+                          frobenius_unit_count, is_free_normalizer, normalizer_count,
+                          unit_counts)
 
 QC_VERDICTS = ("AQP", "ACP", "ADP")
 
@@ -80,7 +82,7 @@ def _isotropy_span(ctx: Context) -> Basis:
     return b
 
 
-def _implemented_for(cert: NormalizerCert, ctx: Context):
+def _implemented_for(n: El, ctx: Context):
     """Is Delta(n) = en = ne = ene solvable with an idempotent e of D?
 
     Any solution must be 1 on the unit support of n and 0 on the endpoints of
@@ -91,7 +93,7 @@ def _implemented_for(cert: NormalizerCert, ctx: Context):
     g = ctx.groupoid
     plus = set()
     ends = set()
-    for a, v in cert.n.coeffs.items():
+    for a, v in n.coeffs.items():
         if g.is_unit(a):
             plus.add(a)
         else:
@@ -145,22 +147,25 @@ def classify(ctx: Context, c_basis: Basis | None = None,
             row for row in commutant.rows
             if any(not g.is_unit(a) for a in row.coeffs))
 
-    certs = None
     if r.is_finite:
-        certs = enumerate_normalizers(ctx, basis, guard)
-    else:
-        notes.append("normalizer scan skipped: needs a finite field")
-
-    if certs is not None:
-        # each flag below is decided on the corner units (normalizers docstring)
+        # each flag below is decided corner by corner (normalizers docstring):
+        # the counted isotropy corners are not scanned
+        corners = corner_bases(basis)
+        check_scan_guard(ctx, corners, guard)
+        counted = counted_corners(ctx, corners)
+        certs = enumerate_normalizers(ctx, basis, guard, skip=counted)
         units = certs[1:]
-        dims["normalizers"] = normalizer_count(ctx, certs)
+        counts = unit_counts(ctx, certs)
+        for vw in counted:
+            counts[vw] = frobenius_unit_count(ctx, corners[vw])
+        dims["normalizers"] = normalizer_count(counts)
 
-        # a span inside C that reaches dim C is C: stop extending it there
+        # a span inside C that reaches dim C is C: stop extending it there;
+        # the units of a counted corner span it
         nspan = Basis(ctx)
-        for cert in units:
+        for n in [cert.n for cert in units] + [row for vw in counted for row in corners[vw].rows]:
             if nspan.dim < basis.dim:
-                nspan.extend(cert.n)
+                nspan.extend(n)
         dims["normalizer_span"] = nspan.dim
         flags["regular"] = nspan.key() == basis.key()
         if not flags["regular"]:
@@ -176,30 +181,42 @@ def classify(ctx: Context, c_basis: Basis | None = None,
         if not flags["delta_faithful"]:
             wits["delta_faithful"] = ctx.combination(kern[0], basis.rows)
 
-        flags["delta_idempotent_implemented"] = True
-        for cert in units:
-            blocking = _implemented_for(cert, ctx)
-            if blocking is not None:
-                flags["delta_idempotent_implemented"] = False
-                wits["delta_idempotent_implemented"] = (cert.n, blocking)
-                break
+        # a counted corner's units are its c delta_g exactly when LBH holds
+        # on it, and only where it fails can a unit fail a flag
+        mixed = [v for v, _ in counted if counts[(v, v)] != (r.modulus - 1) * sum(
+            corners[(v, v)].contains(ctx.delta(a)) for a in range(g.num_arrows)
+            if g.src[a] == g.tgt[a] == v)]
+
+        def first_failure(fails, led_by_delta):
+            """The first corner unit of the scan to fail: the first in certs
+            or in the search of a counted corner that LBH fails on."""
+            found = [next((cert.n for cert in units if fails(cert.n)), None)]
+            found += [first_unit(ctx, basis, corners, v, fails, led_by_delta) for v in mixed]
+            return min((n for n in found if n is not None), default=None,
+                       key=lambda n: tuple(n.value(piv) for piv in basis.pivots))
+
+        blocking = first_failure(lambda n: _implemented_for(n, ctx) is not None, True)
+        flags["delta_idempotent_implemented"] = blocking is None
+        if blocking is not None:
+            wits["delta_idempotent_implemented"] = (blocking, _implemented_for(blocking, ctx))
 
         fspan = Basis(ctx)
-        for cert in units:
-            if fspan.dim < basis.dim and is_free_normalizer(cert):
-                fspan.extend(cert.n)
+        for n in ([cert.n for cert in units if is_free_normalizer(cert)]
+                  + [ctx.delta(v) for v, _ in counted]):
+            if fspan.dim < basis.dim:
+                fspan.extend(n)
         dims["free_span"] = fspan.dim
         flags["free_span"] = fspan.key() == basis.key()
         if not flags["free_span"]:
             wits["free_span"] = next(row for row in basis.rows
                                      if not fspan.contains(row))
 
-        flags["LBH"] = True
-        for cert in units:
-            if not is_bisection(g, cert.n.coeffs):
-                flags["LBH"] = False
-                wits["LBH"] = cert.n
-                break
+        lbh = first_failure(lambda n: not is_bisection(g, n.coeffs), False)
+        flags["LBH"] = lbh is None
+        if lbh is not None:
+            wits["LBH"] = lbh
+    else:
+        notes.append("normalizer scan skipped: needs a finite field")
 
     core = [flags[k] for k in ("WT", "regular", "delta_faithful",
                                "delta_idempotent_implemented")]

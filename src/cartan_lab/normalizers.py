@@ -84,10 +84,33 @@ monic form of each block of a monic sum comes before the sum: the two first
 differ at the sum's leading pivot, where the block is 0.  So the first
 normalizer of the exhaustive scan to fail a flag is a corner unit, and the
 witnesses are those of the whole scan.
+
+Counted isotropy corners.  classify scans no isotropy corner R = C_{v,v}
+over F_p, p > 2, that is a commutative algebra (closed under the product, as
+every corner of a subalgebra is).  Its corner units are the units of R, whose
+unit is delta_v.  On a commutative R the Frobenius F(x) = x^p is F_p-linear.
+R is a product of local rings with residue fields F_{p^d_i} (Perlis-Walker);
+F^dim R kills exactly the radical J, and in each factor F^j fixes a copy of
+F_{p^gcd(j, d_i)} (the roots of X^{p^j} - X lift uniquely), so dim ker(F^j -
+1) = sum_i gcd(j, d_i), which determines the d_i (Berlekamp).  Then |U(R)| =
+p^dim J prod_i (p^d_i - 1), from ranks of powers of one dim R square matrix.
+Every residue field has more than two elements, so each x in R is a sum of
+two units, x = (x - u) + u for a unit u that avoids x and 0 in every residue
+field: the units span R, and its free units are the multiples of delta_v.
+Each c delta_g in R is a unit (R is finite-dimensional and holds the inverse
+of delta_g), so LBH holds on R exactly when |U(R)| is p - 1 times the number
+of arrows g with delta_g in R.  Where it fails, first_unit certifies the
+candidates in the scan's order and stops at the first unit to fail a flag,
+which is the scan's first failure in R.  A unit blocking implementation by an
+idempotent carries delta_v and another arrow, so there is one only where LBH
+fails, and its search starts at the candidates led by delta_v, the corner's
+first row (v is its least arrow).  Compared by key with the first failures of
+the scanned corners, these give the witnesses of the whole scan.
 """
 
 from collections import Counter
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
@@ -149,16 +172,19 @@ def _block_partner(ctx: Context, x: El, v: int, opposite: Basis | None):
     return None if sol is None else ctx.el_of_vec(ctx.combine_rows(sol, k))
 
 
-def is_normalizer(ctx: Context, n: El, c_basis: Basis | None = None):
+def is_normalizer(ctx: Context, n: El, c_basis: Basis | None = None,
+                  corners: dict | None = None):
     """Certificate for n, or None, block by block as in the module docstring.
     Partners are sought inside the span of c_basis (the whole algebra when
-    omitted), which must be a D-bimodule."""
+    omitted), which must be a D-bimodule; corners, when given, are its
+    corner_bases, split once by a caller that certifies many candidates."""
     if not ctx.ring.is_field:
         raise InputError("normalizer decision needs a field")
     basis = c_basis if c_basis is not None else full_algebra_basis(ctx)
     if c_basis is not None and not c_basis.contains(n):
         raise InputError("candidate lies outside the subalgebra")
-    corners = corner_bases(basis)
+    if corners is None:
+        corners = corner_bases(basis)
     blocks = corner_blocks(n)
     if len({v for v, _ in blocks}) < len(blocks) or len({w for _, w in blocks}) < len(blocks):
         return None
@@ -177,27 +203,33 @@ def is_normalizer(ctx: Context, n: El, c_basis: Basis | None = None):
 
 # -- enumeration -------------------------------------------------------------
 
+def _monic_digits(p: int, d: int, start: int = 0):
+    """The monic coefficient vectors of length d (first nonzero entry 1) in
+    lexicographic order, from the start-th on, in chunks of BATCH_CHUNK rows.
+    The vectors with t entries after their leading 1 form one run, from index
+    (p^t - 1) / (p - 1) on, t = 0 first; those t entries are the base-p
+    digits of the offset into the run."""
+    runs = np.array([(p ** t - 1) // (p - 1) for t in range(d + 1)], dtype=np.int64)
+    for lo in range(start, int(runs[-1]), BATCH_CHUNK):
+        index = np.arange(lo, min(lo + BATCH_CHUNK, int(runs[-1])), dtype=np.int64)
+        t = np.searchsorted(runs, index, side="right") - 1
+        rest = index - runs[t]
+        digits = np.zeros((len(index), d), dtype=np.int64)
+        for j in range(d - 1, -1, -1):
+            digits[:, j] = rest % p
+            rest //= p
+        digits[np.arange(len(index)), d - 1 - t] = 1
+        yield digits
+
+
 def _batched_mask(ctx: Context, c_rows, k_rows):
     """The monic candidates of span(c_rows) (first nonzero coefficient 1;
     scalings are recovered afterwards) and a boolean mask over them: does the
     candidate admit a partner in span(k_rows).  Returns (candidates, mask)."""
     p = ctx.p
-    d = len(c_rows)
-    total = p ** d
     g = ctx.groupoid
     off = np.array(list(g.off_units()), dtype=np.int64)
     cmat = np.array([ctx.vec(cj) for cj in c_rows], dtype=np.int64)
-    digits = np.zeros((total, d), dtype=np.int64)
-    rep = 1
-    for j in range(d - 1, -1, -1):
-        digits[:, j] = (np.arange(total) // rep) % p
-        rep *= p
-    nonzero = digits != 0
-    has_any = nonzero.any(axis=1)
-    first = nonzero.argmax(axis=1)
-    monic = has_any & (digits[np.arange(total), first] == 1)
-    digits = digits[monic]
-    cands = digits @ cmat % p
     dim = ctx.dim
     n_units = g.n_units
     offdim = len(off)
@@ -206,10 +238,9 @@ def _batched_mask(ctx: Context, c_rows, k_rows):
     k_vecs = [ctx.vec(kj) for kj in k_rows]
     left_static = [[ctx.vec(ctx.delta(u) * kj) for kj in k_rows] for u in g.units()]
     right_static = [[ctx.vec(kj * ctx.delta(u)) for kj in k_rows] for u in g.units()]
-    total = cands.shape[0]
-    mask = np.zeros(total, dtype=bool)
-    for start in range(0, total, BATCH_CHUNK):
-        chunk = cands[start:start + BATCH_CHUNK]
+    cands, mask = [], []
+    for digits in _monic_digits(p, len(c_rows)):
+        chunk = digits @ cmat % p
         nb = chunk.shape[0]
         m = np.zeros((nb, nrows, e), dtype=np.int64)
         for j in range(e):
@@ -224,8 +255,9 @@ def _batched_mask(ctx: Context, c_rows, k_rows):
                 m[:, lo2:lo2 + offdim, j] = t[:, off]
         rhs = np.zeros((nb, nrows), dtype=np.int64)
         rhs[:, :dim] = chunk
-        mask[start:start + nb] = exactlin.batch_solvable_mod_p(m, rhs, p)
-    return cands, mask
+        cands.append(chunk)
+        mask.append(exactlin.batch_solvable_mod_p(m, rhs, p))
+    return np.concatenate(cands), np.concatenate(mask)
 
 
 def _monic_mate(x: El, y: El) -> tuple:
@@ -242,8 +274,9 @@ def _scanned(corners: dict) -> list:
     return [(v, w) for v, w in sorted(corners) if v <= w and (w, v) in corners]
 
 
-def _corner_units(ctx: Context, basis: Basis) -> dict:
-    """The normalizers that lie in one corner, as {w: [(v, scaled)]}: scaled
+def _corner_units(ctx: Context, basis: Basis, corners: dict, skip=()) -> dict:
+    """The normalizers of span(basis) that lie in one corner, leaving out the
+    isotropy corners in skip, as {w: [(v, scaled)]}: scaled
     lists (lam x, lam^-1 y) as coefficient dicts for lam in ring.units(), with
     x monic in C_{v,w} and y its partner in C_{w,v}, so scaled[0] is (x, y).
     Corners come in sorted order, units in candidate order.
@@ -256,9 +289,10 @@ def _corner_units(ctx: Context, basis: Basis) -> dict:
     test did not pass raises InternalCheckError."""
     r = ctx.ring
     scalings = [(lam, r.try_inv(lam)) for lam in r.units()]
-    corners = corner_bases(basis)
     found: dict = {}
     for v, w in _scanned(corners):
+        if (v, w) in skip:
+            continue
         opposite = corners[(w, v)]
         cands, mask = _batched_mask(ctx, corners[(v, w)].rows, opposite.rows)
         pairs, mates = [], {}
@@ -267,7 +301,7 @@ def _corner_units(ctx: Context, basis: Basis) -> dict:
             if x in mates:
                 pairs.append(mates.pop(x))
                 continue
-            cert = is_normalizer(ctx, x, basis)
+            cert = is_normalizer(ctx, x, basis, corners)
             if cert is None:
                 raise InternalCheckError("batched prefilter and exact solve disagree")
             pairs.append((x, cert.dagger))
@@ -290,13 +324,25 @@ def _corner_units(ctx: Context, basis: Basis) -> dict:
     return units
 
 
+def check_scan_guard(ctx: Context, corners: dict, guard: int) -> None:
+    """Refuse, before any work, a span whose full scan would visit more than
+    guard candidates, p^dim over the scanned corners, or whose normalizer
+    count would take more than guard states, 2^units."""
+    candidates = sum(ctx.p ** corners[vw].dim for vw in _scanned(corners))
+    if candidates > guard:
+        raise GuardExceeded("normalizer scan candidates", candidates, guard)
+    states = 2 ** ctx.groupoid.n_units
+    if states > guard:
+        raise GuardExceeded("normalizer count states", states, guard)
+
+
 def enumerate_normalizers(ctx: Context, c_basis: Basis | None = None,
-                          guard: int = SCAN_GUARD):
+                          guard: int = SCAN_GUARD, skip=()):
     """Zero and every corner unit of the span of c_basis, as certified pairs,
-    in the order of the module docstring; normalizer_count counts the
-    normalizers they sum to.  The span must be a D-bimodule.  The guard
-    bounds the candidates scanned, p^dim over the scanned corners, and the
-    2^units states of normalizer_count."""
+    in the order of the module docstring, but none of the isotropy corners
+    (v, v) in skip, which classify counts instead; normalizer_count counts the
+    normalizers they sum to.  The span must be a D-bimodule.  The guard is
+    that of check_scan_guard, with skip or without."""
     if not ctx.ring.is_field or not ctx.ring.is_finite:
         raise InputError("normalizer enumeration needs a finite field")
     basis = c_basis if c_basis is not None else full_algebra_basis(ctx)
@@ -304,27 +350,28 @@ def enumerate_normalizers(ctx: Context, c_basis: Basis | None = None,
     if basis.dim == 0:
         return certs
     corners = corner_bases(basis)
-    candidates = sum(ctx.p ** corners[vw].dim for vw in _scanned(corners))
-    if candidates > guard:
-        raise GuardExceeded("normalizer scan candidates", candidates, guard)
-    states = 2 ** ctx.groupoid.n_units
-    if states > guard:
-        raise GuardExceeded("normalizer count states", states, guard)
-    units = sorted((scaled for pairs in _corner_units(ctx, basis).values() for _, scaled in pairs),
+    check_scan_guard(ctx, corners, guard)
+    units = sorted((scaled for pairs in _corner_units(ctx, basis, corners, skip).values()
+                    for _, scaled in pairs),
                    key=lambda scaled: tuple(scaled[0][0].get(piv, 0) for piv in basis.pivots))
     return certs + [NormalizerCert(El(ctx, n), El(ctx, k)) for scaled in units for n, k in scaled]
 
 
-def normalizer_count(ctx: Context, certs) -> int:
-    """The number of nonzero normalizers with the corner units certs: the sum
-    over nonempty partial bijections of the units of the product of the unit
-    counts of the corners used, by a DP over source units whose state is the
-    set of targets used so far."""
+def unit_counts(ctx: Context, certs) -> Counter:
+    """The number of nonzero certs in each corner, keyed (v, w) as in
+    corner_bases; a corner unit's arrows share source and target."""
     g = ctx.groupoid
-    per_corner = Counter((int(g.src[a]), int(g.tgt[a]))
-                         for a in (min(c.n.coeffs) for c in certs if not c.n.is_zero()))
+    return Counter((int(g.tgt[a]), int(g.src[a]))
+                   for a in (min(c.n.coeffs) for c in certs if not c.n.is_zero()))
+
+
+def normalizer_count(counts: dict) -> int:
+    """The number of nonzero normalizers when corner (v, w) has counts[(v, w)]
+    units: the sum over nonempty partial bijections of the units of the
+    product of the unit counts of the corners used, by a DP over source units
+    whose state is the set of targets used so far."""
     targets: dict = {}
-    for (w, v), count in per_corner.items():
+    for (v, w), count in counts.items():
         targets.setdefault(w, []).append((1 << v, count))
     ways = {0: 1}
     for row in targets.values():
@@ -335,6 +382,93 @@ def normalizer_count(ctx: Context, certs) -> int:
                     grown[used | bit] = grown.get(used | bit, 0) + n * count
         ways = grown
     return sum(ways.values()) - 1
+
+
+# -- counted isotropy corners ------------------------------------------------
+
+def counted_corners(ctx: Context, corners: dict) -> list:
+    """The isotropy corners (v, v) whose units classify counts instead of
+    scanning (module docstring): over F_p with p > 2, those whose rows
+    commute and whose products stay in the corner."""
+    if ctx.p == 2:
+        return []
+    out = []
+    for (v, w), corner in sorted(corners.items()):
+        if v != w:
+            continue
+        rows = np.array([ctx.vec(row) for row in corner.rows])
+        for row in rows:
+            prods = ctx.conv_single_batch(row, rows)
+            if not (np.array_equal(prods, ctx.conv_batch_single(rows, row)) and np.array_equal(
+                    exactlin.matmul_mod_p(prods[:, corner.pivots], rows, ctx.p), prods)):
+                break
+        else:
+            out.append((v, v))
+    return out
+
+
+def _totient(n: int) -> int:
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+def frobenius_unit_count(ctx: Context, corner: Basis) -> int:
+    """The number of units of a counted corner R = span(corner), p^dim J
+    prod_i (p^d_i - 1), with dim J and the residue degrees d_i read off the
+    matrix of F(x) = x^p on the rows (module docstring)."""
+    p, d = ctx.p, corner.dim
+    rows = np.array([ctx.vec(row) for row in corner.rows])
+    # row-wise x^p by repeated squaring; column i of frob holds the
+    # coordinates of row_i^p, its values at the pivots
+    power, square, e = None, rows, p
+    while e:
+        if e & 1:
+            power = square if power is None else ctx.conv_batch(power, square)
+        e >>= 1
+        if e:
+            square = ctx.conv_batch(square, square)
+    frob = power[:, corner.pivots].T
+    powers = [np.eye(d, dtype=np.int64)]
+    for _ in range(d):
+        powers.append(exactlin.matmul_mod_p(powers[-1], frob, p))
+    radical = len(ctx.nullspace(powers[d]))
+    top = d - radical
+    # dim ker(F^j - 1) = sum_i gcd(j, d_i) = sum over e | j of phi(e) times
+    # the number of d_i that e divides; invert for j = 1, 2, ..., then peel
+    # off the multiples to count the d_i equal to k
+    divisible: dict = {}
+    for j in range(1, top + 1):
+        fixed = len(ctx.nullspace(powers[j] - powers[0]))
+        divisible[j] = (fixed - sum(_totient(e) * divisible[e] for e in range(1, j)
+                                    if j % e == 0)) // _totient(j)
+    degrees: dict = {}
+    for k in range(top, 0, -1):
+        degrees[k] = divisible[k] - sum(degrees[m] for m in range(2 * k, top + 1, k))
+    if sum(k * c for k, c in degrees.items()) != top:
+        raise InternalCheckError("the residue degrees do not add up to dim R/J")
+    count = p ** radical
+    for k, c in degrees.items():
+        count *= (p ** k - 1) ** c
+    return count
+
+
+def first_unit(ctx: Context, basis: Basis, corners: dict, v: int, accept,
+               led_by_delta: bool = False) -> El | None:
+    """The first monic candidate x of the isotropy corner C_{v,v}, in the
+    scan's order, with accept(x) that is_normalizer certifies, or None.
+    Candidates are made a chunk at a time and the search stops at x, so it
+    visits at most the candidates the guard admitted.  With led_by_delta it
+    starts at the candidates led by delta_v, the corner's first row (v is its
+    least arrow): those with a nonzero coordinate there, last in the order."""
+    corner = corners[(v, v)]
+    p, d = ctx.p, corner.dim
+    cmat = np.array([ctx.vec(row) for row in corner.rows])
+    start = (p ** (d - 1) - 1) // (p - 1) if led_by_delta else 0
+    for digits in _monic_digits(p, d, start):
+        for vec in digits @ cmat % p:
+            x = ctx.el_of_vec(vec)
+            if accept(x) and is_normalizer(ctx, x, basis, corners) is not None:
+                return x
+    return None
 
 
 # -- order and freeness ------------------------------------------------------
@@ -412,7 +546,7 @@ def phi_check(ctx: Context, guard: int = SCAN_GUARD) -> dict:
     minimals = [c.n for c in certs if not c.n.is_zero()]
     runits = ctx.ring.units()
     report = {
-        "normalizer_count": normalizer_count(ctx, certs),
+        "normalizer_count": normalizer_count(unit_counts(ctx, certs)),
         "ultrafilter_count": len(minimals),
         "expected_total_size": len(runits) * g.num_arrows,
         "total_size_matches": len(minimals) == len(runits) * g.num_arrows,

@@ -73,11 +73,13 @@ def oracle_context(name):
         "sign_flip(2)/Q": lambda: make_context(gpd.sign_flip_groupoid(2), q),
         "z3/F5": lambda: make_context(gpd.from_group(gpd.cyclic_table(3)), f5),
         "z4/F5": lambda: make_context(gpd.from_group(gpd.cyclic_table(4)), f5),
+        "z6/F3": lambda: make_context(gpd.from_group(gpd.cyclic_table(6)), f3),
         "k2xz2/F3": lambda: make_context(k2xz2, f3),
         "k2xz2/Q": lambda: make_context(k2xz2, q),
         "k2xz2/Q twisted": lambda: Context(k2xz2, q, k2xz2_bicharacter(k2xz2, q)),
         "k2xz2/F3 twisted": lambda: Context(k2xz2, f3, k2xz2_bicharacter(k2xz2, f3)),
         "klein/F3": lambda: make_context(klein, f3),
+        "klein/F5": lambda: make_context(klein, f5),
         "klein/F3 twisted": lambda: Context(klein, f3, klein_bicharacter(klein, f3)),
         "sign_flip(1)/F3": lambda: make_context(gpd.sign_flip_groupoid(1), f3),
         "iso(pair2+pair1,Z3)/F3": lambda: make_context(iso, f3),

@@ -6,9 +6,11 @@ cartan_lab.normalizers against them on small contexts.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 
+from cartan_lab import inclusions
 from cartan_lab import normalizers as nz
 from cartan_lab.errors import GuardExceeded, InputError, InternalCheckError
 from cartan_lab.groupoid import Groupoid
@@ -48,17 +50,18 @@ def exhaustive_partners(ctx, n, c_basis=None, guard: int = 200_000):
     return [k for k in basis.elements() if verify_cert(NormalizerCert(n, k))]
 
 
-def corner_units(ctx, basis) -> dict:
+def corner_units(ctx, basis, _corners=None, skip=()) -> dict:
     """The corner units of the span as normalizers._corner_units returns
-    them, with every corner scanned and every survivor certified on its own:
-    no partner map, no mates."""
+    them, with every corner but those in skip scanned and every survivor
+    certified on its own: no partner map, no mates.  The oracle splits the
+    span itself."""
     r = ctx.ring
     lams = r.units()
     corners = corner_bases(basis)
     units: dict = {}
     for (v, w), corner in sorted(corners.items()):
         opposite = corners.get((w, v))
-        if opposite is None:
+        if opposite is None or (v, w) in skip:
             continue
         cands, mask = nz._batched_mask(ctx, corner.rows, opposite.rows)
         for i in np.nonzero(mask)[0]:
@@ -71,6 +74,13 @@ def corner_units(ctx, basis) -> dict:
                       for lam in lams]
             units.setdefault(w, []).append((v, scaled))
     return units
+
+
+def scan_classify(ctx, c_basis=None, guard: int = nz.SCAN_GUARD):
+    """inclusions.classify with every corner scanned and none counted: the
+    forced-scan path that the counted isotropy corners must agree with."""
+    with mock.patch.object(inclusions, "counted_corners", lambda ctx, corners: []):
+        return inclusions.classify(ctx, c_basis, guard)
 
 
 def all_normalizers(ctx, basis) -> list:

@@ -295,6 +295,17 @@ def cyclic_ctx(n, ring):
                         "ring": ring, "cocycle": None}}
 
 
+def test_a_counted_corner_keeps_the_scan_guard(tmp_path, capsys):
+    # Z4/F5: classify counts the units of its one isotropy corner instead of
+    # scanning it, yet the guard still measures the 5^4 candidates of a scan
+    path = write_ctx(tmp_path, cyclic_ctx(4, "F5"))
+    code, out = run_cli(["classify", "--context", path, "--guard-dim", "100"], capsys)
+    assert code == 3
+    rep = json.loads(out)
+    assert rep["error"] == "guard-exceeded"
+    assert rep["message"] == "normalizer scan candidates: measured 625 exceeds guard 100"
+
+
 def test_reconstruct_honours_guard_dim(tmp_path, capsys):
     # Z4/F5: 5^4 corner candidates pass a guard of 1000, but the 256 corner
     # units fall in 64 scaling orbits, 64^2 orbit pairs

@@ -7,7 +7,8 @@ from cartan_lab import groupoid as gpd
 from cartan_lab.errors import InputError
 from cartan_lab.steinberg import Context, algebra_closure
 
-from conftest import make_context
+import normalizer_oracle as oracle
+from conftest import make_context, oracle_context
 
 
 @pytest.fixture(scope="module")
@@ -17,6 +18,19 @@ def ex_c(z3_f5):
 
 
 # -- classification ----------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["z2/F3", "z3/F5", "z4/F5", "z6/F3", "klein/F5",
+                                  "klein/F3 twisted", "k2xz2/F3 twisted",
+                                  "iso(pair2+pair1,Z3)/F3"])
+def test_classify_matches_the_forced_scan_path(name):
+    """Counting the commutative isotropy corners and searching them for the
+    first failures reports what scanning every corner reports, byte for
+    byte, on the full algebra and on every singly generated closure."""
+    ctx = oracle_context(name)
+    closures, _ = inc.singly_generated_closures(ctx)
+    for c in [None] + [c for c, _ in closures.values()]:
+        assert inc.classify(ctx, c).to_json() == oracle.scan_classify(ctx, c).to_json()
+
 
 def test_classify_principal_full(pair3_f3):
     rep = inc.classify(pair3_f3)

@@ -127,7 +127,7 @@ def test_enumerate_full_pair3():
     certs = nz.enumerate_normalizers(ctx)
     assert certs == _one_block(ctx, scan)
     assert len(certs) == 1 + 18
-    assert nz.normalizer_count(ctx, certs) == 138
+    assert nz.normalizer_count(nz.unit_counts(ctx, certs)) == 138
     for cert in certs:
         assert oracle.verify_cert(cert)
     everything = oracle.all_normalizers(ctx, full)
@@ -158,7 +158,7 @@ def test_enumerate_diagonal_only(pair3_f3):
     certs = nz.enumerate_normalizers(pair3_f3, d)
     assert certs == _one_block(pair3_f3, reference_normalizers(pair3_f3, d))
     assert len(certs) == 1 + 6
-    assert nz.normalizer_count(pair3_f3, certs) == 26
+    assert nz.normalizer_count(nz.unit_counts(pair3_f3, certs)) == 26
     for cert in oracle.all_normalizers(pair3_f3, d):
         assert all(pair3_f3.groupoid.is_unit(a) for a in cert.n.coeffs)
 
@@ -190,7 +190,7 @@ def test_count_states_guard():
                                             "guard 31"):
         nz.enumerate_normalizers(ctx, diagonal_basis(ctx), guard=31)
     certs = nz.enumerate_normalizers(ctx, diagonal_basis(ctx), guard=32)
-    assert nz.normalizer_count(ctx, certs) == 3 ** 5 - 1
+    assert nz.normalizer_count(nz.unit_counts(ctx, certs)) == 3 ** 5 - 1
 
 
 def _rook_sum(n, units):
@@ -206,7 +206,7 @@ def test_pair_normalizer_counts_are_rook_sums():
         ctx = make_context(gpd.pair_groupoid(n), f3)
         certs = nz.enumerate_normalizers(ctx)
         assert len(certs) == 1 + 2 * n * n
-        counts.append(nz.normalizer_count(ctx, certs))
+        counts.append(nz.normalizer_count(nz.unit_counts(ctx, certs)))
     assert counts == [_rook_sum(n, 2) for n in range(1, 8)]
     assert counts[3:] == [1472, 19090, 291792, 5129306]
 
@@ -314,7 +314,7 @@ def test_enumeration_matches_exhaustive_scan(name):
     for c, want in scans:
         got = nz.enumerate_normalizers(ctx, c)
         assert got == _one_block(ctx, want)
-        assert nz.normalizer_count(ctx, got) == len(want) - 1
+        assert nz.normalizer_count(nz.unit_counts(ctx, got)) == len(want) - 1
 
 
 def _certifier_cases(ctx):
@@ -462,7 +462,7 @@ def test_corner_scan_prefilters_one_candidate_per_corner(monkeypatch):
     certs = nz.enumerate_normalizers(ctx)
     assert sum(seen) == 6
     assert certs == _one_block(ctx, scan)
-    assert nz.normalizer_count(ctx, certs) == 138
+    assert nz.normalizer_count(nz.unit_counts(ctx, certs)) == 138
 
 
 def test_isotropy_corner_certifies_one_unit_per_inverse_pair(monkeypatch):
@@ -490,7 +490,7 @@ def test_partner_map_pairing_matches_the_full_corner_scan(name, monkeypatch):
     certifying every corner."""
     ctx = oracle_context(name)
     for c in _oracle_spans(ctx):
-        assert nz._corner_units(ctx, c) == oracle.corner_units(ctx, c)
+        assert nz._corner_units(ctx, c, corner_bases(c)) == oracle.corner_units(ctx, c)
         got = nz.enumerate_normalizers(ctx, c)
         with monkeypatch.context() as m:
             m.setattr(nz, "_corner_units", oracle.corner_units)
@@ -512,6 +512,77 @@ def test_a_mate_the_prefilter_drops_is_caught(z3_f5, monkeypatch):
     monkeypatch.setattr(nz, "_batched_mask", dropping)
     with pytest.raises(InternalCheckError):
         nz.enumerate_normalizers(ctx)
+
+
+@pytest.mark.parametrize("p, d", [(2, 1), (2, 5), (3, 1), (3, 4), (5, 3), (7, 2)])
+def test_monic_digits_run_in_lexicographic_order(p, d, monkeypatch):
+    monkeypatch.setattr(nz, "BATCH_CHUNK", 7)
+    want = [v for v in itertools.product(range(p), repeat=d)
+            if any(v) and v[next(i for i, x in enumerate(v) if x)] == 1]
+    for start in (0, 1, len(want) // 2, len(want) - 1):
+        chunks = list(nz._monic_digits(p, d, start))
+        assert all(len(chunk) <= 7 for chunk in chunks)
+        assert [tuple(row) for chunk in chunks for row in chunk.tolist()] == want[start:]
+
+
+def _cyclic(n, p):
+    return make_context(gpd.from_group(gpd.cyclic_table(n)), coeff.Ring(coeff.PRIME_FIELD, p))
+
+
+# Z8/F3 and Z9/F3 have a nonzero radical; F2[Z7], F3[Z7] and F2[Z9] have
+# residue fields of degree 3 or 6, where the totients in the inversion exceed 1
+CYCLIC = ([f"Z{n}/F{p}" for n in range(1, 7) for p in (2, 3, 5, 7)]
+          + ["Z8/F3", "Z9/F3", "Z7/F2", "Z7/F3", "Z9/F2"])
+
+
+@functools.cache
+def _isotropy_cases(name):
+    """Each isotropy corner of the oracle spans of a context, or of the full
+    algebra of Z_n/F_p: (ctx, corners, v, is it commutative, units scanned)."""
+    if name in CYCLIC:
+        ctx = _cyclic(*map(int, name[1:].split("/F")))
+        spans = [full_algebra_basis(ctx)]
+    else:
+        ctx = oracle_context(name)
+        spans = _oracle_spans(ctx)
+    cases = []
+    for c in spans:
+        corners = corner_bases(c)
+        scanned = nz.unit_counts(ctx, nz.enumerate_normalizers(ctx, c))
+        for (v, w), corner in sorted(corners.items()):
+            if v == w:
+                commutative = all(x * y == y * x for x in corner.rows for y in corner.rows)
+                cases.append((ctx, corners, v, commutative, scanned[(v, v)]))
+    return cases
+
+
+@pytest.mark.parametrize("name", ORACLE_CONTEXTS + CYCLIC)
+def test_frobenius_count_matches_the_scan(name):
+    """The unit count read off the Frobenius matrix equals the scan's on
+    every commutative isotropy corner, p = 2 included; classify counts them
+    exactly when p > 2, and scans the rest."""
+    for ctx, corners, v, commutative, scanned in _isotropy_cases(name):
+        if commutative:
+            assert nz.frobenius_unit_count(ctx, corners[(v, v)]) == scanned
+        assert ((v, v) in nz.counted_corners(ctx, corners)) == (commutative and ctx.p > 2)
+
+
+def test_z7_f7_classify_counts_without_the_scan(monkeypatch):
+    # 7^7 corner candidates: the count comes from the Frobenius matrix and the
+    # two witness searches stop within their first chunk of candidates
+    chunks = []
+    digits = nz._monic_digits
+
+    def counting(*args):
+        for chunk in digits(*args):
+            chunks.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(nz, "_monic_digits", counting)
+    rep = classify(_cyclic(7, 7))
+    assert rep.dims["normalizers"] == 6 * 7 ** 6 == 705_894
+    assert rep.flags["LBH"] is False and rep.flags["delta_idempotent_implemented"] is False
+    assert len(chunks) == 2
 
 
 def test_corner_bases_partition_the_span(pair3_f3, z3_f5):
@@ -687,7 +758,7 @@ def test_corner_units_decide_like_the_assembled_normalizers(name):
     for c in spans:
         certs = nz.enumerate_normalizers(ctx, c)
         everything = oracle.all_normalizers(ctx, c)
-        assert nz.normalizer_count(ctx, certs) == len(everything) - 1
+        assert nz.normalizer_count(nz.unit_counts(ctx, certs)) == len(everything) - 1
         assert (span_closure(ctx, [x.n for x in certs]).key()
                 == span_closure(ctx, [x.n for x in everything]).key())
         wits = classify(ctx, c).witnesses
@@ -695,7 +766,7 @@ def test_corner_units_decide_like_the_assembled_normalizers(name):
                    None)
         assert wits.get("LBH") == lbh
         implemented = next(((x.n, b) for x in everything
-                            if (b := _implemented_for(x, ctx)) is not None), None)
+                            if (b := _implemented_for(x.n, ctx)) is not None), None)
         assert wits.get("delta_idempotent_implemented") == implemented
 
 
