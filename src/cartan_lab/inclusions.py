@@ -346,17 +346,27 @@ def galois(ctx: Context, guard: int = SCAN_GUARD) -> LatticeReport:
     witnesses: list = []
 
     algebras: dict = {}
+    classified: set = set()
     lattice_ops: dict = {}
+    wide_algebras: dict = {}
 
     def admit(basis: Basis) -> bool:
+        """Classify a span the first time its key comes up; True when it
+        is quasi-Cartan and so joins the algebras."""
         k = basis.key()
-        if k in algebras:
+        if k in classified:
             return False
-        rep = classify(ctx, basis, guard)
-        if not rep.quasi_cartan:
+        classified.add(k)
+        if not classify(ctx, basis, guard).quasi_cartan:
             return False
         algebras[k] = basis
         return True
+
+    def algebra_of(h: frozenset) -> Basis:
+        """A(H), built once per arrow set."""
+        if h not in wide_algebras:
+            wide_algebras[h] = subgroupoid_algebra(ctx, h)
+        return wide_algebras[h]
 
     def meet_join(c1: Basis, c2: Basis):
         """spn N(C1 ^ C2, D) and alg(C1 u C2); both are symmetric in the
@@ -372,7 +382,7 @@ def galois(ctx: Context, guard: int = SCAN_GUARD) -> LatticeReport:
         admit(c)
 
     for h in wides:
-        admit(subgroupoid_algebra(ctx, h))
+        admit(algebra_of(h))
 
     changed = True
     while changed:
@@ -404,7 +414,7 @@ def galois(ctx: Context, guard: int = SCAN_GUARD) -> LatticeReport:
             wide_of_algebra.append(None)
             continue
         wide_of_algebra.append(wi)
-        back = subgroupoid_algebra(ctx, h)
+        back = algebra_of(h)
         if back.key() != basis.key():
             mutually_inverse = False
             witnesses.append(("A(G_C) differs from C", sorted(h)))
@@ -412,7 +422,7 @@ def galois(ctx: Context, guard: int = SCAN_GUARD) -> LatticeReport:
     algebra_of_wide = []
     alg_key_index = {b.key(): i for i, b in enumerate(alg_list)}
     for h in wides:
-        ah = subgroupoid_algebra(ctx, h)
+        ah = algebra_of(h)
         ai = alg_key_index.get(ah.key())
         if ai is None:
             mutually_inverse = False
@@ -443,11 +453,11 @@ def galois(ctx: Context, guard: int = SCAN_GUARD) -> LatticeReport:
                 continue
             hi, hj = wides[wide_of_algebra[i]], wides[wide_of_algebra[j]]
             meet, join = meet_join(bi, bj)
-            if meet.key() != subgroupoid_algebra(ctx, hi & hj).key():
+            if meet.key() != algebra_of(hi & hj).key():
                 meet_matches = False
                 witnesses.append(("meet mismatch", i, j))
             hj_gen = g.close_arrow_set(hi | hj)
-            if join.key() != subgroupoid_algebra(ctx, hj_gen).key():
+            if join.key() != algebra_of(hj_gen).key():
                 join_matches = False
                 witnesses.append(("join mismatch", i, j))
 

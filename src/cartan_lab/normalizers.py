@@ -85,6 +85,19 @@ differ at the sum's leading pivot, where the block is 0.  So the first
 normalizer of the exhaustive scan to fail a flag is a corner unit, and the
 witnesses are those of the whole scan.
 
+One scan per corner pair and context.  The scan of an opposite pair reads
+nothing of C but its two corners: the batched test builds its systems from
+the rows of C_{v,w} and C_{w,v}, and the certificate of a one-block
+candidate seeks the partner in C_{w,v} alone.  A corner's rows are its
+reduced echelon rows, unique to the corner, so the echelon keys of the two
+corners fix the certified lists of both.  Spans that share corners, as the
+closures, meets and joins of galois and pqc_scan do, share their scans: the
+Context keeps them by those keys.  The memo lives on the Context, not in the
+module, so it dies with the context: every command builds its own, a traced
+pass repeats its counts, and corpus jobs never share one.  The guard still
+measures every scanned corner, remembered or not, and the internal checks
+run on the first scan of a pair, whose inputs a later one would repeat.
+
 Counted isotropy corners.  classify scans no isotropy corner R = C_{v,v}
 over F_p, p > 2, that is a commutative algebra (closed under the product, as
 every corner of a subalgebra is).  Its corner units are the units of R, whose
@@ -286,7 +299,9 @@ def _corner_units(ctx: Context, basis: Basis, corners: dict, skip=()) -> dict:
     the first corner of each opposite pair is scanned; the units of the other
     are the mates of its units.  In an isotropy corner a survivor that is the
     mate of an earlier one is not certified again, and a mate the batched
-    test did not pass raises InternalCheckError."""
+    test did not pass raises InternalCheckError.  Each pair is scanned once
+    per context, which keeps the lists of both its corners under their
+    echelon keys (module docstring)."""
     r = ctx.ring
     scalings = [(lam, r.try_inv(lam)) for lam in r.units()]
     found: dict = {}
@@ -294,6 +309,10 @@ def _corner_units(ctx: Context, basis: Basis, corners: dict, skip=()) -> dict:
         if (v, w) in skip:
             continue
         opposite = corners[(w, v)]
+        key = (corners[(v, w)].key(), opposite.key())
+        if key in ctx._corner_scans:
+            found[(v, w)], found[(w, v)] = ctx._corner_scans[key]
+            continue
         cands, mask = _batched_mask(ctx, corners[(v, w)].rows, opposite.rows)
         pairs, mates = [], {}
         for i in np.nonzero(mask)[0]:
@@ -314,6 +333,7 @@ def _corner_units(ctx: Context, basis: Basis, corners: dict, skip=()) -> dict:
                 xy[0].value(piv) for piv in opposite.pivots))
         elif mates:
             raise InternalCheckError("an isotropy mate did not pass the batched prefilter")
+        ctx._corner_scans[key] = found[(v, w)], found[(w, v)]
     units: dict = {}
     for (v, w), pairs in sorted(found.items()):
         for x, y in pairs:

@@ -82,6 +82,7 @@ def oracle_context(name):
         "klein/F5": lambda: make_context(klein, f5),
         "klein/F3 twisted": lambda: Context(klein, f3, klein_bicharacter(klein, f3)),
         "sign_flip(1)/F3": lambda: make_context(gpd.sign_flip_groupoid(1), f3),
+        "sign_flip(2)/F3": lambda: make_context(gpd.sign_flip_groupoid(2), f3),
         "iso(pair2+pair1,Z3)/F3": lambda: make_context(iso, f3),
     }[name]()
 

@@ -114,6 +114,22 @@ def test_galois_pair3_f2(pair3_f2):
         assert rep.wide_of_algebra[rep.algebra_of_wide[i]] == i
 
 
+@pytest.mark.parametrize("name", ["z3/F5", "klein/F3"])
+def test_galois_classifies_each_span_once(name, monkeypatch):
+    # a span a meet or a join brings back is classified again only if
+    # galois forgets the verdict; rejected spans come back on both contexts
+    keys = []
+    classify = inc.classify
+
+    def recording(ctx, c_basis=None, guard=inc.SCAN_GUARD):
+        keys.append(c_basis.key())
+        return classify(ctx, c_basis, guard)
+
+    monkeypatch.setattr(inc, "classify", recording)
+    inc.galois(oracle_context(name))
+    assert len(keys) == len(set(keys)) == {"z3/F5": 3, "klein/F3": 15}[name]
+
+
 def test_galois_group_z2(z2_f3):
     rep = inc.galois(z2_f3)
     assert rep.counts == (2, 2)

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from cartan_lab import coeff, exactlin
 from cartan_lab import groupoid as gpd
+from cartan_lab import inclusions as inc
 from cartan_lab import normalizers as nz
+from cartan_lab.cli import _jsonable
 from cartan_lab.errors import GuardExceeded, InputError, InternalCheckError
 from cartan_lab.inclusions import (_implemented_for, classify, diagonal_basis,
                                    singly_generated_closures, subgroupoid_algebra)
@@ -447,10 +449,16 @@ def test_free_closed_form_matches_products(name):
             assert nz.is_free_normalizer(cert) == want, n
 
 
+def _coeffs(certs) -> list:
+    return [(cert.n.coeffs, cert.dagger.coeffs) for cert in certs]
+
+
 def test_corner_scan_prefilters_one_candidate_per_corner(monkeypatch):
     # the 3 unit corners and one corner of each of the 3 opposite pairs; the
-    # other corner of a pair takes its units from the partners
-    ctx, ((_, scan), *_) = _exhaustive_scans("pair3/F3")
+    # other corner of a pair takes its units from the partners.  A fresh
+    # context, whose corner pairs no earlier call has scanned
+    scanned, ((_, scan), *_) = _exhaustive_scans("pair3/F3")
+    ctx = oracle_context("pair3/F3")
     seen = []
     batch = exactlin.batch_solvable_mod_p
 
@@ -461,7 +469,7 @@ def test_corner_scan_prefilters_one_candidate_per_corner(monkeypatch):
     monkeypatch.setattr(exactlin, "batch_solvable_mod_p", counting)
     certs = nz.enumerate_normalizers(ctx)
     assert sum(seen) == 6
-    assert certs == _one_block(ctx, scan)
+    assert _coeffs(certs) == _coeffs(_one_block(scanned, scan))
     assert nz.normalizer_count(nz.unit_counts(ctx, certs)) == 138
 
 
@@ -498,10 +506,11 @@ def test_partner_map_pairing_matches_the_full_corner_scan(name, monkeypatch):
         assert [(x.n, x.dagger) for x in got] == [(x.n, x.dagger) for x in want]
 
 
-def test_a_mate_the_prefilter_drops_is_caught(z3_f5, monkeypatch):
+def test_a_mate_the_prefilter_drops_is_caught(monkeypatch):
     # delta_2 = (0, 0, 1) comes before delta_1 = (0, 1, 0) in candidate order,
-    # and its mate is delta_1; a prefilter that loses delta_1 is a false negative
-    ctx = z3_f5
+    # and its mate is delta_1; a prefilter that loses delta_1 is a false
+    # negative.  A fresh context, so that the scan runs
+    ctx = oracle_context("z3/F5")
     batched = nz._batched_mask
     lost = ctx.vec(ctx.delta(1))
 
@@ -512,6 +521,60 @@ def test_a_mate_the_prefilter_drops_is_caught(z3_f5, monkeypatch):
     monkeypatch.setattr(nz, "_batched_mask", dropping)
     with pytest.raises(InternalCheckError):
         nz.enumerate_normalizers(ctx)
+
+
+@pytest.mark.parametrize("name, calls", [("pair3/F2", 6), ("sign_flip(2)/F3", 8)])
+def test_galois_scans_each_corner_pair_once(name, calls, monkeypatch):
+    # one batched test per distinct corner pair over all the spans galois
+    # classifies and meets: on pair(3)/F2 the 3 unit corners and the 3
+    # opposite pairs of arrows; on sign_flip(2)/F3 the 5 unit corners, the 2
+    # opposite pairs and the isotropy corner of the flipped unit (classify
+    # counts the isotropy corners over F3, the meets scan them)
+    ctx = oracle_context(name)
+    seen = []
+    batched = nz._batched_mask
+
+    def counting(*args):
+        seen.append(1)
+        return batched(*args)
+
+    monkeypatch.setattr(nz, "_batched_mask", counting)
+    inc.galois(ctx)
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("name", ORACLE_CONTEXTS)
+def test_warm_corner_scans_classify_like_cold_ones(name):
+    """Every singly generated closure classified on one context, whose
+    corner scans earlier closures filled, reports what it reports on a
+    context of its own."""
+    ctx = oracle_context(name)
+    closures, _ = singly_generated_closures(ctx)
+    for c in [full_algebra_basis(ctx)] + [c for c, _ in closures.values()]:
+        cold = oracle_context(name)
+        c_cold = span_closure(cold, [El(cold, row.coeffs) for row in c.rows])
+        assert classify(ctx, c).to_json() == classify(cold, c_cold).to_json()
+
+
+@pytest.mark.parametrize("name", ORACLE_CONTEXTS)
+def test_galois_and_pqc_scan_do_not_read_the_memo(name, monkeypatch):
+    """The reports are those of emptying the corner scan memo before every
+    enumeration, when each enumeration scans its corner pairs afresh."""
+    warm = oracle_context(name)
+    want = (inc.galois(warm).to_json(), _jsonable(inc.pqc_scan(warm)))
+    enumerate_normalizers = nz.enumerate_normalizers
+    calls = []
+
+    def cold(ctx, *args, **kwargs):
+        calls.append(len(ctx._corner_scans))
+        ctx._corner_scans.clear()
+        return enumerate_normalizers(ctx, *args, **kwargs)
+
+    monkeypatch.setattr(nz, "enumerate_normalizers", cold)
+    monkeypatch.setattr(inc, "enumerate_normalizers", cold)
+    ctx = oracle_context(name)
+    assert (inc.galois(ctx).to_json(), _jsonable(inc.pqc_scan(ctx))) == want
+    assert any(calls)
 
 
 @pytest.mark.parametrize("p, d", [(2, 1), (2, 5), (3, 1), (3, 4), (5, 3), (7, 2)])
