@@ -348,7 +348,6 @@ def galois(ctx: Context, guard: int = SCAN_GUARD) -> LatticeReport:
     algebras: dict = {}
     classified: set = set()
     lattice_ops: dict = {}
-    wide_algebras: dict = {}
 
     def admit(basis: Basis) -> bool:
         """Classify a span the first time its key comes up; True when it
@@ -361,12 +360,6 @@ def galois(ctx: Context, guard: int = SCAN_GUARD) -> LatticeReport:
             return False
         algebras[k] = basis
         return True
-
-    def algebra_of(h: frozenset) -> Basis:
-        """A(H), built once per arrow set."""
-        if h not in wide_algebras:
-            wide_algebras[h] = subgroupoid_algebra(ctx, h)
-        return wide_algebras[h]
 
     def meet_join(c1: Basis, c2: Basis):
         """spn N(C1 ^ C2, D) and alg(C1 u C2); both are symmetric in the
@@ -382,7 +375,7 @@ def galois(ctx: Context, guard: int = SCAN_GUARD) -> LatticeReport:
         admit(c)
 
     for h in wides:
-        admit(algebra_of(h))
+        admit(subgroupoid_algebra(ctx, h))
 
     changed = True
     while changed:
@@ -414,7 +407,7 @@ def galois(ctx: Context, guard: int = SCAN_GUARD) -> LatticeReport:
             wide_of_algebra.append(None)
             continue
         wide_of_algebra.append(wi)
-        back = algebra_of(h)
+        back = subgroupoid_algebra(ctx, h)
         if back.key() != basis.key():
             mutually_inverse = False
             witnesses.append(("A(G_C) differs from C", sorted(h)))
@@ -422,7 +415,7 @@ def galois(ctx: Context, guard: int = SCAN_GUARD) -> LatticeReport:
     algebra_of_wide = []
     alg_key_index = {b.key(): i for i, b in enumerate(alg_list)}
     for h in wides:
-        ah = algebra_of(h)
+        ah = subgroupoid_algebra(ctx, h)
         ai = alg_key_index.get(ah.key())
         if ai is None:
             mutually_inverse = False
@@ -453,11 +446,11 @@ def galois(ctx: Context, guard: int = SCAN_GUARD) -> LatticeReport:
                 continue
             hi, hj = wides[wide_of_algebra[i]], wides[wide_of_algebra[j]]
             meet, join = meet_join(bi, bj)
-            if meet.key() != algebra_of(hi & hj).key():
+            if meet.key() != subgroupoid_algebra(ctx, hi & hj).key():
                 meet_matches = False
                 witnesses.append(("meet mismatch", i, j))
             hj_gen = g.close_arrow_set(hi | hj)
-            if join.key() != algebra_of(hj_gen).key():
+            if join.key() != subgroupoid_algebra(ctx, hj_gen).key():
                 join_matches = False
                 witnesses.append(("join mismatch", i, j))
 

@@ -94,9 +94,12 @@ corners fix the certified lists of both.  Spans that share corners, as the
 closures, meets and joins of galois and pqc_scan do, share their scans: the
 Context keeps them by those keys.  The memo lives on the Context, not in the
 module, so it dies with the context: every command builds its own, a traced
-pass repeats its counts, and corpus jobs never share one.  The guard still
-measures every scanned corner, remembered or not, and the internal checks
-run on the first scan of a pair, whose inputs a later one would repeat.
+pass repeats its counts, and corpus jobs never share one.  It keeps
+coefficient dicts, not elements: an element refers back to its context, so
+the context would wait for the cycle collector instead of being freed when
+the command returns.  The guard still measures every scanned corner,
+remembered or not, and the internal checks run on the first scan of a
+pair, whose inputs a later one would repeat.
 
 Counted isotropy corners.  classify scans no isotropy corner R = C_{v,v}
 over F_p, p > 2, that is a commutative algebra (closed under the product, as
@@ -300,8 +303,8 @@ def _corner_units(ctx: Context, basis: Basis, corners: dict, skip=()) -> dict:
     are the mates of its units.  In an isotropy corner a survivor that is the
     mate of an earlier one is not certified again, and a mate the batched
     test did not pass raises InternalCheckError.  Each pair is scanned once
-    per context, which keeps the lists of both its corners under their
-    echelon keys (module docstring)."""
+    per context, which keeps the (x, y) coefficient dicts of both its
+    corners under their echelon keys (module docstring)."""
     r = ctx.ring
     scalings = [(lam, r.try_inv(lam)) for lam in r.units()]
     found: dict = {}
@@ -327,18 +330,18 @@ def _corner_units(ctx: Context, basis: Basis, corners: dict, skip=()) -> dict:
             mate = _monic_mate(x, cert.dagger)
             if mate[0] != x:
                 mates[mate[0]] = mate
-        found[(v, w)] = pairs
+        found[(v, w)] = [(x.coeffs, y.coeffs) for x, y in pairs]
         if v != w:
-            found[(w, v)] = sorted(mates.values(), key=lambda xy: tuple(
-                xy[0].value(piv) for piv in opposite.pivots))
+            found[(w, v)] = [(x.coeffs, y.coeffs) for x, y in sorted(
+                mates.values(), key=lambda xy: tuple(xy[0].value(piv) for piv in opposite.pivots))]
         elif mates:
             raise InternalCheckError("an isotropy mate did not pass the batched prefilter")
         ctx._corner_scans[key] = found[(v, w)], found[(w, v)]
     units: dict = {}
     for (v, w), pairs in sorted(found.items()):
         for x, y in pairs:
-            scaled = [({a: r.mul(lam, c) for a, c in x.coeffs.items()},
-                       {a: r.mul(inv, c) for a, c in y.coeffs.items()})
+            scaled = [({a: r.mul(lam, c) for a, c in x.items()},
+                       {a: r.mul(inv, c) for a, c in y.items()})
                       for lam, inv in scalings]
             units.setdefault(w, []).append((v, scaled))
     return units

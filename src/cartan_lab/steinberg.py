@@ -59,8 +59,8 @@ class Context:
             keys = self._A * self.dim + self._B   # ascending: pairs are row-major
             at = np.searchsorted(keys, [a * self.dim + b for a, b in self.cocycle.table])
             self._W[at] = list(self.cocycle.table.values())
-        # the corner units of each scanned opposite corner pair, keyed by the
-        # two corners' echelon keys (normalizers._corner_units)
+        # the corner units of each scanned opposite corner pair as coefficient
+        # dicts, keyed by the two corners' echelon keys (normalizers._corner_units)
         self._corner_scans: dict = {}
 
     # -- element constructors ------------------------------------------------

@@ -1,8 +1,10 @@
 import dataclasses
 import functools
+import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -575,6 +577,21 @@ def test_galois_and_pqc_scan_do_not_read_the_memo(name, monkeypatch):
     ctx = oracle_context(name)
     assert (inc.galois(ctx).to_json(), _jsonable(inc.pqc_scan(ctx))) == want
     assert any(calls)
+
+
+def test_the_corner_scan_memo_does_not_keep_its_context_alive():
+    """A context whose memo galois filled is freed with its last reference,
+    without waiting for the cycle collector."""
+    ctx = oracle_context("pair3/F2")
+    inc.galois(ctx)
+    assert ctx._corner_scans
+    gone = weakref.ref(ctx)
+    gc.disable()
+    try:
+        del ctx
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("p, d", [(2, 1), (2, 5), (3, 1), (3, 4), (5, 3), (7, 2)])

@@ -1,13 +1,12 @@
 """Compare a parent checkout with this one in interleaved benchmark pairs.
 
     python3 tools/bench_pairs.py --parent DIR --workload W --seed N [--pairs 10]
-                                 [--seconds S]
 
 Run from the root of this checkout; DIR is the root of the parent commit's
 checkout (for example one made with git archive).  Each pair runs
 perfbench/run.py --trace 0 once in each checkout, one after the other, the
 parent first in the first pair and in every other pair after it, so that a
-slow period of the machine hits both sides alike.  --seconds defaults to
+slow period of the machine hits both sides alike.  Every run is as long as
 BENCHMARK.json's run_seconds.
 
 Each pair prints one line as it finishes, with both sides' value of the
@@ -22,18 +21,10 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 
-
-def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run in checkout: its result line."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, encoding="utf-8", check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
+from bench_rows import run
 
 
 def spread(values: list) -> str:
@@ -47,7 +38,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", required=True, type=int)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float)
     args = parser.parse_args(argv)
     here = Path.cwd()
     if not all((root / "perfbench/run.py").is_file() for root in (here, args.parent)):
@@ -55,7 +45,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     bench = json.loads((here / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     metrics = bench["end_to_end"]
 
     sides: dict = {"parent": [], "change": []}
@@ -64,7 +54,7 @@ def main(argv=None) -> int:
         if i % 2:
             order.reverse()
         for side, checkout in order:
-            sides[side].append(run(checkout, args.workload, args.seed, seconds))
+            sides[side].append(run(args.workload, seconds, 0, args.seed, checkout)[0])
         print(f"pair {i + 1} ({order[0][0]} first): " + ", ".join(
             f"{side} {sides[side][-1]['metrics'][metrics[0]['name']]['value']:.4g}"
             f"{'' if sides[side][-1]['correct'] else ' NOT CORRECT'}"

@@ -28,12 +28,14 @@ WORKLOADS = ("corpus", "sparse", "dense", "spans")
 SEED = 0
 
 
-def run(workload: str, seconds: float, trace: int) -> tuple[dict, str | None]:
-    """One perfbench run: (its result line, its count-digest line or None)."""
+def run(workload: str, seconds: float, trace: int, seed: int = SEED,
+        cwd: Path | None = None) -> tuple[dict, str | None]:
+    """One perfbench run in the checkout cwd (default: the current
+    directory): (its result line, its count-digest line or None)."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        capture_output=True, text=True, encoding="utf-8", check=True)
+        cwd=cwd, capture_output=True, text=True, encoding="utf-8", check=True)
     lines = proc.stdout.splitlines()
     digest = next((line for line in lines if line.startswith("count-digest ")), None)
     return json.loads(lines[-1]), digest
