@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -265,26 +264,31 @@ def _run_corpus(dirpath: str, opts: dict) -> tuple[dict, int]:
         job = None
         try:
             job = _load_json(str(path))
+            if not isinstance(job, dict):
+                raise InputError(f"{path.name} must hold a JSON object")
             command = job.get("command")
-            if command not in RUNNERS:
+            if not isinstance(command, str) or command not in RUNNERS:
                 raise InputError(f"unknown command {command!r} in {path.name}")
             job_opts = dict(opts)
             options = job.get("options", {})
-            if "guard_dim" in options:
-                job_opts["guard"] = int(options["guard_dim"])
-            if "seed" in options:
-                job_opts["seed"] = int(options["seed"])
+            if not isinstance(options, dict):
+                raise InputError(f"'options' in {path.name} must be an object")
+            for key, opt in (("guard_dim", "guard"), ("seed", "seed")):
+                if key in options:
+                    try:
+                        job_opts[opt] = int(options[key])
+                    except (TypeError, ValueError, OverflowError) as exc:
+                        raise InputError(f"'{key}' in {path.name} must be an integer, "
+                                         f"not {options[key]!r}") from exc
             job_opts["expect"] = job.get("expect")
             return _run_one(command, job, job_opts)
         except (InputError, GuardExceeded, InternalCheckError) as exc:
             cmd = job.get("command", "?") if isinstance(job, dict) else "?"
             return _error_report(cmd, exc)[0]
 
-    if files:
-        with ThreadPoolExecutor(max_workers=min(4, len(files))) as pool:
-            reports = list(pool.map(run_file, files))
-    else:
-        reports = []
+    # in order, on this thread: the jobs are CPU-bound Python, which threads
+    # under the interpreter lock do not overlap
+    reports = [run_file(path) for path in files]
     rows = []
     for path, rep in zip(files, reports):
         rows.append({

@@ -15,12 +15,13 @@ RATIONALS = "rationals"
 PRIME_FIELD = "prime_field"
 INT_MOD_M = "int_mod_m"
 
-# F_p contexts keep residues in numpy int64 (steinberg's vectors and
-# convolutions, exactlin's eliminations).  The widest intermediate there is
-# x - c*y with x, c, y in [0, p), at most (p-1)^2 + (p-1) in magnitude; the
-# convolutions reduce mod p after every product, so a per-arrow sum adds at
-# most dim residues, which stays below 2^63 for any dim that fits in memory.
-# This is the largest p with (p-1)^2 + (p-1) <= 2^63 - 1.
+# Only the convolutions (with exactlin.matmul_mod_p) and the batched
+# elimination still hold F_p residues in numpy int64; the scalar elimination
+# kernel works on Python ints.  The batched elimination's widest intermediate
+# is x - c*y with x, c, y in [0, p), at most (p-1)^2 + (p-1) in magnitude;
+# the convolutions reduce mod p after every product, so a per-arrow sum adds
+# at most dim residues, which stays below 2^63 for any dim that fits in
+# memory.  This is the largest p with (p-1)^2 + (p-1) <= 2^63 - 1.
 MAX_PRIME_MODULUS = (1 + math.isqrt(4 * (2**63 - 1) + 1)) // 2
 
 
@@ -67,10 +68,6 @@ class Ring:
     @property
     def is_field(self) -> bool:
         return self.kind in (RATIONALS, PRIME_FIELD)
-
-    @property
-    def char(self) -> int:
-        return 0 if self.kind == RATIONALS else self.modulus
 
     # -- canonical values ----------------------------------------------------
 

@@ -1,44 +1,117 @@
-"""Exact linear algebra over prime fields (numpy, residues) and over Q (Fraction).
+"""Exact linear algebra over prime fields and over Q.
 
-Matrices over F_p are numpy int64 arrays with entries in [0, p).  Matrices over
-Q are lists of lists (or 2-d object arrays) of Fraction.  The program reaches
-the solves and nullspaces through steinberg.Context, which picks the backend
-for its ring; the batched test serves the F_p normalizer prefilter.
-
-Everything here is plain Gaussian elimination; the only twist is the batched
-variant, which eliminates thousands of small systems in lockstep along a
-leading batch axis.
+One scalar kernel serves both fields: the reduced echelon step on sparse
+coefficient dicts {column: value} in canonical values, a residue in [0, p)
+or a Fraction (p None).  steinberg.Basis keeps its spans in that form;
+rref_mod_p and rref_frac push a dense matrix through it row by row and return
+an int64 ndarray or lists of Fraction, off which the solves and nullspaces
+read their answers.  steinberg.Context picks the backend for its ring.  The
+one other kernel is the batched F_p test behind the normalizer prefilter,
+which eliminates thousands of small systems in lockstep along a batch axis.
 """
 
+import bisect
 from fractions import Fraction
 
 import numpy as np
 
 
-def rref_mod_p(mat: np.ndarray, p: int):
-    """Reduced row echelon form mod p.  Returns (rref, pivot_columns)."""
-    m = np.array(mat, dtype=np.int64) % p
-    rows, cols = m.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
+def _subtract_multiple(cur: dict, c, row: dict, p) -> None:
+    """cur -= c * row in place.  Canonical values are zero exactly when falsy,
+    and a sum can only vanish at a column cur already holds, so zeros are
+    purged as they appear."""
+    for a, v in row.items():
+        x = cur.get(a, 0) - c * v
+        if p:
+            x %= p
+        if x:
+            cur[a] = x
+        else:
+            del cur[a]
+
+
+def residue(rows: list, pivots: list, vec: dict, p) -> dict:
+    """vec minus its component in the span of the reduced echelon rows, as a
+    new dict.  The rows vanish at each other's pivots, so one subtraction per
+    pivot clears it, in any order."""
+    cur = dict(vec)
+    for piv, row in zip(pivots, rows):
+        c = cur.get(piv)
+        if c:
+            _subtract_multiple(cur, c, row, p)
+    return cur
+
+
+def insert_residue(rows: list, pivots: list, res: dict, p) -> None:
+    """Add the nonzero residue res to the reduced echelon rows: its lead
+    scaled to 1, its pivot cleared from the earlier rows (a later row leads
+    right of it, so is zero there), filed in pivot order.  A changed row is
+    replaced by a new dict, never edited, so callers may share rows."""
+    piv = min(res)
+    inv = pow(res[piv], -1, p) if p else 1 / res[piv]
+    new = {a: v * inv % p for a, v in res.items()} if p else {a: v * inv for a, v in res.items()}
+    idx = bisect.bisect(pivots, piv)
+    for i in range(idx):
+        c = rows[i].get(piv)
+        if c:
+            cur = dict(rows[i])
+            _subtract_multiple(cur, c, new, p)
+            rows[i] = cur
+    pivots.insert(idx, piv)
+    rows.insert(idx, new)
+
+
+def _rref(vecs, red, p):
+    """Reduce the matrix whose rows are the coefficient dicts vecs into red,
+    a zero matrix of its shape, and return the pivots.  Once the rows span
+    every column, every later vector reduces to 0, so the loop stops there."""
+    rows, pivots = [], []
+    cols = len(red[0]) if len(red) else 0
+    for vec in vecs:
+        if len(pivots) == cols:
             break
-        # any nonzero pivot row will do: the reduced echelon form is unique
-        pr = r + int(m[r:, c].argmax())
-        if not m[pr, c]:
+        res = residue(rows, pivots, vec, p)
+        if res:
+            insert_residue(rows, pivots, res, p)
+    for out, row in zip(red, rows):
+        for c, v in row.items():
+            out[c] = v
+    return pivots
+
+
+def _solution(red, pivots, cols: int, p):
+    """One solution (free variables 0) of the system whose augmented matrix
+    has reduced form red, as a list, or None when it is inconsistent."""
+    if cols in pivots:
+        return None
+    x = [0 if p else Fraction(0)] * cols
+    for i, c in enumerate(pivots):
+        x[c] = red[i][cols]
+    return x
+
+
+def _null_vectors(red, pivots, cols: int, p) -> list:
+    """A nullspace basis read off the reduced form red, one list per free
+    column."""
+    basis = []
+    for fc in range(cols):
+        if fc in pivots:
             continue
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        # rows r and below are zero left of c, so only columns c: change; one
-        # broadcast update clears column c, rows that are zero there subtract 0
-        m[r, c:] = m[r, c:] * pow(int(m[r, c]), -1, p) % p
-        factors = m[:, c].copy()
-        factors[r] = 0
-        m[:, c:] = (m[:, c:] - factors[:, None] * m[r, c:]) % p
-        pivots.append(c)
-        r += 1
-    return m, pivots
+        v = [0 if p else Fraction(0)] * cols
+        v[fc] = 1 if p else Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -red[i][fc] % p if p else -red[i][fc]
+        basis.append(v)
+    return basis
+
+
+def rref_mod_p(mat: np.ndarray, p: int):
+    """Reduced row echelon form mod p, zero rows last.  Returns (rref,
+    pivot_columns)."""
+    m = np.array(mat, dtype=np.int64) % p
+    red = np.zeros_like(m)
+    pivots = _rref(({c: v for c, v in enumerate(row) if v} for row in m.tolist()), red, p)
+    return red, pivots
 
 
 def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -49,31 +122,17 @@ def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def solve_mod_p(a: np.ndarray, b: np.ndarray, p: int):
     """One solution of a x = b mod p (free variables set to 0), or None."""
-    a = np.array(a, dtype=np.int64) % p
-    b = np.array(b, dtype=np.int64) % p
-    rows, cols = a.shape
-    aug = np.concatenate([a, b.reshape(rows, 1)], axis=1)
-    red, pivots = rref_mod_p(aug, p)
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = red[i, cols]
-    return x
+    red, pivots = rref_mod_p(np.column_stack([a, b]), p)
+    x = _solution(red, pivots, np.shape(a)[1], p)
+    return None if x is None else np.array(x, dtype=np.int64)
 
 
 def nullspace_mod_p(a: np.ndarray, p: int) -> np.ndarray:
     """Basis of the right nullspace mod p, one vector per row."""
-    a = np.array(a, dtype=np.int64) % p
-    rows, cols = a.shape
+    cols = np.shape(a)[1]
     red, pivots = rref_mod_p(a, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-red[i, fc]) % p
-    return basis
+    return np.array(_null_vectors(red, pivots, cols, p),
+                    dtype=np.int64).reshape(cols - len(pivots), cols)
 
 
 def _batch_eliminate_mod_p(m: np.ndarray, p: int, ncols: int) -> np.ndarray:
@@ -127,55 +186,22 @@ def batch_solvable_mod_p(mats: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarra
 
 
 def rref_frac(mat):
-    """RREF over Q.  mat is a list of lists of Fraction; returns (rref, pivots)."""
-    m = [[Fraction(x) for x in row] for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    """RREF over Q, zero rows last.  mat is a list of lists (or a 2-d object
+    array) of rationals; returns (rref as lists of Fraction, pivots)."""
+    cols = len(mat[0]) if len(mat) else 0
+    red = [[Fraction(0)] * cols for _ in range(len(mat))]
+    pivots = _rref(({c: x if type(x) is Fraction else Fraction(x)
+                     for c, x in enumerate(row) if x} for row in mat), red, None)
+    return red, pivots
 
 
 def solve_frac(a, b):
     """One solution of a x = b over Q, or None."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [list(a[i]) + [b[i]] for i in range(rows)]
-    red, pivots = rref_frac(aug)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        x[c] = red[i][cols]
-    return x
+    red, pivots = rref_frac([list(row) + [bi] for row, bi in zip(a, b)])
+    return _solution(red, pivots, len(a[0]) if len(a) else 0, None)
 
 
 def nullspace_frac(a):
     """Basis of the right nullspace over Q, one vector per entry."""
-    cols = len(a[0]) if len(a) else 0
     red, pivots = rref_frac(a)
-    basis = []
-    for fc in range(cols):
-        if fc in pivots:
-            continue
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][fc]
-        basis.append(v)
-    return basis
+    return _null_vectors(red, pivots, len(a[0]) if len(a) else 0, None)

@@ -138,12 +138,6 @@ class Groupoid:
     def is_principal(self) -> bool:
         return len(self.iso_arrows()) == 0
 
-    def iso_sizes(self) -> dict:
-        sizes = {u: 1 for u in self.units()}
-        for a in self.iso_arrows():
-            sizes[int(self.src[a])] += 1
-        return sizes
-
     def is_i2i(self) -> bool:
         """Isolated-two-torsion isotropy: at most one arrow between distinct
         units, and any unit with nontrivial isotropy is isolated with exactly

@@ -12,10 +12,10 @@ Elements are sparse dicts {arrow: coefficient} with zeros purged, so
 structural equality is mathematical equality.  Dense vectors and the exact
 solves behind them are the one place that knows how coefficients are
 stored: numpy int64 residues over F_p, object arrays of Fraction over Q.
-Spans (Basis) and subalgebra closures share one dict kernel for Q and F_p.
+Spans (Basis), subalgebra closures and those solves share one elimination
+kernel for Q and F_p, exactlin's reduced echelon step on coefficient dicts.
 """
 
-import bisect
 import hashlib
 import json
 from dataclasses import dataclass
@@ -312,20 +312,6 @@ def el_from_json(ctx: Context, data: dict) -> El:
     return El(ctx, out)
 
 
-def _subtract_multiple(cur: dict, c, row: dict, p) -> None:
-    """cur -= c * row in place, for canonical field values (p None over Q).
-    Canonical values are zero exactly when falsy, and a sum can only vanish
-    at an arrow cur already holds, so zeros are purged as they appear."""
-    for a, v in row.items():
-        x = cur.get(a, 0) - c * v
-        if p:
-            x %= p
-        if x:
-            cur[a] = x
-        else:
-            del cur[a]
-
-
 class Basis:
     """Reduced row echelon basis of a subspace of A, ordered by pivot arrow.
 
@@ -334,59 +320,45 @@ class Basis:
     reduced echelon basis of a span is unique, so key() identifies the span,
     whatever order its vectors arrived in.
 
-    One kernel serves Q and F_p: reduce, contains and extend eliminate on a
-    single coefficient dict in place, in the ring's canonical values
-    (Fraction, or a residue in [0, p)).
+    The span is held in exactlin's scalar kernel form, the one that the
+    dense solves also eliminate through: coeffs[i] is rows[i]'s coefficient
+    dict, in the ring's canonical values.  The kernel replaces a changed dict
+    rather than edit it, so bases may share them.  rows, the same vectors as
+    elements, is built from coeffs when first read after a change.
     """
 
     def __init__(self, ctx: Context):
         if not ctx.ring.is_field:
             raise InputError("span computations need a field")
         self.ctx = ctx
-        self.rows: list[El] = []
+        self.coeffs: list[dict] = []
         self.pivots: list[int] = []
+        self._rows: list[El] | None = None
+
+    @property
+    def rows(self) -> list[El]:
+        if self._rows is None:
+            self._rows = [El(self.ctx, c) for c in self.coeffs]
+        return self._rows
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
-
-    def _residue(self, coeffs: dict) -> dict:
-        """coeffs minus its component in the span, as a new dict.  The rows
-        vanish at each other's pivots, so one subtraction per pivot clears it,
-        in any order."""
-        p = self.ctx.ring.modulus
-        cur = dict(coeffs)
-        for piv, row in zip(self.pivots, self.rows):
-            c = cur.get(piv)
-            if c:
-                _subtract_multiple(cur, c, row.coeffs, p)
-        return cur
+        return len(self.pivots)
 
     def reduce(self, el: El) -> El:
-        return El(self.ctx, self._residue(el.coeffs))
+        return El(self.ctx, exactlin.residue(self.coeffs, self.pivots, el.coeffs,
+                                             self.ctx.ring.modulus))
 
     def contains(self, el: El) -> bool:
-        return not self._residue(el.coeffs)
+        return not exactlin.residue(self.coeffs, self.pivots, el.coeffs, self.ctx.ring.modulus)
 
     def extend(self, el: El) -> bool:
         """Add el to the span; returns True when the dimension grew."""
         res = self.reduce(el).coeffs
         if not res:
             return False
-        piv = min(res)
-        lead = self.ctx.ring.try_inv(res[piv])
-        new = El(self.ctx, {a: lead * v for a, v in res.items()})
-        # clear the new pivot from the other rows to keep the basis reduced
-        p = self.ctx.ring.modulus
-        for i, row in enumerate(self.rows):
-            c = row.coeffs.get(piv)
-            if c:
-                cur = dict(row.coeffs)
-                _subtract_multiple(cur, c, new.coeffs, p)
-                self.rows[i] = El(self.ctx, cur)
-        idx = bisect.bisect(self.pivots, piv)
-        self.pivots.insert(idx, piv)
-        self.rows.insert(idx, new)
+        exactlin.insert_residue(self.coeffs, self.pivots, res, self.ctx.ring.modulus)
+        self._rows = None
         return True
 
     def elements(self):
@@ -406,8 +378,9 @@ class Basis:
 
     def copy(self) -> "Basis":
         b = Basis(self.ctx)
-        b.rows = list(self.rows)
+        b.coeffs = list(self.coeffs)
         b.pivots = list(self.pivots)
+        b._rows = self._rows
         return b
 
     def key(self):
@@ -450,13 +423,13 @@ def corner_bases(basis: Basis) -> dict:
     sum to dim C.  A row that meets two corners raises InputError."""
     g = basis.ctx.groupoid
     corners: dict = {}
-    for piv, row in zip(basis.pivots, basis.rows):
-        ends = {(int(g.tgt[a]), int(g.src[a])) for a in row.coeffs}
+    for piv, row in zip(basis.pivots, basis.coeffs):
+        ends = {(int(g.tgt[a]), int(g.src[a])) for a in row}
         if len(ends) != 1:
             raise InputError("span is not a D-bimodule: a basis row meets "
                              f"the corners {sorted(ends)}")
         corner = corners.setdefault(ends.pop(), Basis(basis.ctx))
-        corner.rows.append(row)
+        corner.coeffs.append(row)
         corner.pivots.append(piv)
     return corners
 

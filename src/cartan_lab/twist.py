@@ -68,10 +68,6 @@ class Cocycle:
                 return False, f"omega({a},{a}^-1) != omega({a}^-1,{a})"
         return True, None
 
-    def omega_inv_pair(self, a: int):
-        """omega(a, a^-1), which equals omega(a^-1, a)."""
-        return self.omega(a, int(self.groupoid.inv[a]))
-
     def to_json(self):
         return [{"a": a, "b": b, "value": self.ring.coeff_str(v)}
                 for (a, b), v in sorted(self.table.items())]

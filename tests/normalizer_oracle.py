@@ -499,7 +499,7 @@ def sigma_total(cocycle: Cocycle):
                 comp[sa, sb] = ids[(tv, int(c))]
     inv = np.zeros(total, dtype=np.int64)
     for (t, a), sa in ids.items():
-        ti = r.mul(r.try_inv(t), r.try_inv(cocycle.omega_inv_pair(a)))
+        ti = r.mul(r.try_inv(t), r.try_inv(cocycle.omega(a, int(g.inv[a]))))
         inv[sa] = ids[(ti, int(g.inv[a]))]
     sigma = Groupoid(g.n_units, src, tgt, comp, inv,
                      label=f"total({g.label})")

@@ -213,7 +213,7 @@ def test_criterion_06_reconstruction():
             t0 = time.perf_counter()
             ctx = Context(g, r)
             rep = nz.phi_check(ctx)
-            assert rep["reconstructed"], (g.label, r.char)
+            assert rep["reconstructed"], (g.label, str(r))
             assert rep["total_size_matches"]
             assert rep["ultrafilter_count"] == len(r.units()) * g.num_arrows
             assert time.perf_counter() - t0 < 120

@@ -161,14 +161,25 @@ def test_malformed_fields_exit_two(tmp_path, capsys, command, field, value):
 
 def test_corpus_isolates_a_malformed_job(tmp_path, capsys):
     good = {"command": "classify", "context": PAIR2_F3["context"], "expect": "ADP"}
-    bad = {"command": "classify", "expect": "ADP", "context": {
-        "groupoid": {"build": {"kind": "pair", "n": "x"}}, "ring": "F3", "cocycle": None}}
-    for name, job in (("a.json", good), ("b.json", bad), ("c.json", good)):
-        (tmp_path / name).write_text(json.dumps(job))
+    bad = [
+        {"command": "classify", "expect": "ADP", "context": {
+            "groupoid": {"build": {"kind": "pair", "n": "x"}}, "ring": "F3", "cocycle": None}},
+        [1, 2],                                     # not an object
+        "classify",
+        dict(good, command=["classify"]),           # unhashable command
+        dict(good, options=[1]),
+        dict(good, options={"guard_dim": "abc"}),
+        dict(good, options={"seed": "abc"}),
+        dict(good, options={"seed": None}),
+    ]
+    jobs = [good] + bad + [good]
+    for i, job in enumerate(jobs):
+        (tmp_path / f"{i:02d}.json").write_text(json.dumps(job))
     code, out = run_cli(["corpus", str(tmp_path)], capsys)
     assert code == 1
     summary = json.loads(out)
-    assert [row["status"] for row in summary["table"]] == ["pass", "input-error", "pass"]
+    assert [row["status"] for row in summary["table"]] == (
+        ["pass"] + ["input-error"] * len(bad) + ["pass"])
     assert summary["passed"] == 2
 
 

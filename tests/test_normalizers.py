@@ -1021,6 +1021,94 @@ def test_rref_mod_p_matches_the_row_by_row_loop_at_the_largest_prime(data):
     assert np.array_equal(red, want)
 
 
+def _rref_frac_row_by_row(mat):
+    """rref_frac as it was before it shared the sparse echelon kernel: one
+    Python step per row to clear, on dense lists of Fraction."""
+    m = [[Fraction(x) for x in row] for row in mat]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+RATIONAL = st.sampled_from([Fraction(0)] * 3) | st.builds(Fraction, st.integers(-6, 6),
+                                                          st.integers(1, 4))
+
+
+def _draw_matrix(data, entry, max_rows, max_cols):
+    """A drawn matrix as lists, its last row sometimes a combination of the
+    first two (rank deficient)."""
+    rows, cols = data.draw(st.integers(1, max_rows)), data.draw(st.integers(1, max_cols))
+    mat = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+    if rows > 2 and data.draw(st.booleans()):
+        lam = data.draw(entry)
+        mat[-1] = [x + lam * y for x, y in zip(mat[0], mat[1])]
+    return mat
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rref_frac_matches_the_row_by_row_loop(data):
+    mat = _draw_matrix(data, RATIONAL, 14, 25)
+    red, pivots = exactlin.rref_frac(mat)
+    want, want_pivots = _rref_frac_row_by_row(mat)
+    assert pivots == want_pivots
+    assert red == want
+    assert all(type(x) is Fraction for row in red for x in row)
+
+
+@pytest.mark.parametrize("field", ["largest prime", "F2", "Q"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_solve_and_nullspace_are_exact(field, data):
+    """solve returns x with a x = b, or None exactly when rank [a | b] >
+    rank a; nullspace returns cols - rank independent vectors v with a v = 0.
+    Ranks come from the row-by-row oracles."""
+    p = {"largest prime": largest_allowed_prime(), "F2": 2, "Q": None}[field]
+    if p is None:
+        entry, rank = RATIONAL, lambda m: len(_rref_frac_row_by_row(m)[1])
+        solve, nullspace = exactlin.solve_frac, exactlin.nullspace_frac
+        times = lambda m, x: [sum(u * v for u, v in zip(row, x)) for row in m]
+    else:
+        entry = st.sampled_from([0, 0, 1, p - 1]) | st.integers(0, p - 1)
+        rank = lambda m: len(_rref_mod_p_row_by_row(np.array(m, dtype=np.int64), p)[1])
+        solve = lambda a, b: exactlin.solve_mod_p(np.array(a, dtype=np.int64),
+                                                  np.array(b, dtype=np.int64), p)
+        nullspace = lambda a: exactlin.nullspace_mod_p(np.array(a, dtype=np.int64), p)
+        times = lambda m, x: [sum(u * int(v) for u, v in zip(row, x)) % p for row in m]
+    a = _draw_matrix(data, entry, 8, 8)
+    b = data.draw(st.lists(entry, min_size=len(a), max_size=len(a)))
+    if data.draw(st.booleans()):
+        b = times(a, data.draw(st.lists(entry, min_size=len(a[0]), max_size=len(a[0]))))
+    x = solve(a, b)
+    solvable = rank([row + [bi] for row, bi in zip(a, b)]) == rank(a)
+    assert (x is not None) == solvable
+    if x is not None:
+        assert times(a, x) == b
+    null = [list(v) for v in nullspace(a)]
+    assert len(null) == len(a[0]) - rank(a)
+    assert all(times(a, v) == [0] * len(a) for v in null)
+    if null:
+        assert rank(null) == len(null)
+
+
 def test_rref_mod_p_agrees_with_fraction_rref_at_a_large_prime():
     p = 1000003
     rng = random.Random(3)
@@ -1028,7 +1116,7 @@ def test_rref_mod_p_agrees_with_fraction_rref_at_a_large_prime():
         mat = [[rng.randint(-50, 50) for _ in range(cols)] for _ in range(rows)]
         mat[-1] = [x + y for x, y in zip(mat[0], mat[1])]   # rank deficient
         red, pivots = exactlin.rref_mod_p(np.array(mat), p)
-        ref, ref_pivots = exactlin.rref_frac([[Fraction(x) for x in row] for row in mat])
+        ref, ref_pivots = _rref_frac_row_by_row(mat)
         assert pivots == ref_pivots
         expected = [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in ref]
         assert red.tolist() == expected

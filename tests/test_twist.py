@@ -77,7 +77,7 @@ def test_omega_inv_pair_symmetric():
     c = klein_bicharacter(g, r)
     for a in range(4):
         ia = int(g.inv[a])
-        assert c.omega_inv_pair(a) == c.omega(ia, a)
+        assert c.omega(a, ia) == c.omega(ia, a)
 
 
 def test_sigma_total_size_and_projection():
