@@ -4,6 +4,11 @@ Arrows carry dense ids in [0, num_arrows).  The first n_units ids are the unit
 arrows, and unit u has src = tgt = u.  Composition follows the range/source
 convention: a.b is defined iff src(a) = tgt(b), with tgt(a.b) = tgt(a) and
 src(a.b) = src(b).
+
+The builders from user tables (from_group, from_action, from_json) validate
+what they build.  pair_groupoid, disjoint_union and attach_isotropy do not:
+their result is a groupoid whenever their parts are, and build_from_json
+validates the groupoid it returns.
 """
 
 from dataclasses import dataclass, field
@@ -159,26 +164,33 @@ class Groupoid:
 
     # -- subgroupoids --------------------------------------------------------
 
-    def close_arrow_set(self, seed) -> frozenset:
-        """Smallest wide subgroupoid containing the seed arrows."""
-        members = set(self.units()) | set(seed)
-        frontier = list(members)
-        while frontier:
-            nxt = []
-            for a in list(members):
-                ia = int(self.inv[a])
-                if ia not in members:
-                    members.add(ia)
-                    nxt.append(ia)
-            snapshot = list(members)
-            for a in snapshot:
-                for b in snapshot:
-                    c = self.comp[a, b]
-                    if c >= 0 and int(c) not in members:
-                        members.add(int(c))
-                        nxt.append(int(c))
-            frontier = nxt
+    def compose_closure(self, seed) -> frozenset:
+        """Smallest set of arrows that contains the seed and is closed under
+        composition: the products s1 s2 ... sk of seed arrows.  Each is the
+        product of a shorter one and a seed arrow, so a frontier search that
+        composes each member on the right with every seed arrow finds them
+        all."""
+        comp = self.comp.tolist()
+        seed = {int(a) for a in seed}
+        members = set(seed)
+        frontier = list(seed)
+        for a in frontier:   # the frontier grows while it is walked
+            row = comp[a]
+            for s in seed:
+                c = row[s]
+                if c >= 0 and c not in members:
+                    members.add(c)
+                    frontier.append(c)
         return frozenset(members)
+
+    def close_arrow_set(self, seed) -> frozenset:
+        """Smallest wide subgroupoid containing the seed arrows: the
+        composition closure of the units, the seed and its inverses, since
+        the inverse of a product of members is the product of their inverses
+        in reverse order."""
+        seed = list(seed)
+        return self.compose_closure([*self.units(), *seed,
+                                     *(int(self.inv[a]) for a in seed)])
 
     def is_wide_subgroupoid(self, members: frozenset) -> bool:
         if not set(self.units()) <= members:
@@ -320,8 +332,7 @@ def pair_groupoid(n: int) -> Groupoid:
     # (i, j).(j, l) = (i, l); every other pair is not composable
     comp = np.where(src[:, None] == tgt[None, :], ids[tgt[:, None], src[None, :]], -1)
     inv = ids[src, tgt]
-    g = Groupoid(n, src, tgt, comp, inv, label=f"pair({n})")
-    return _finalize(g)
+    return Groupoid(n, src, tgt, comp, inv, label=f"pair({n})")
 
 
 def from_action(group_table, perms, label: str = "action") -> Groupoid:
@@ -414,8 +425,7 @@ def disjoint_union(parts, label: str = "disjoint_union") -> Groupoid:
                 if c >= 0:
                     comp[m[a], m[b]] = m[int(c)]
         unit_off += p.n_units
-    g = Groupoid(total_units, src, tgt, comp, inv, label=label)
-    return _finalize(g)
+    return Groupoid(total_units, src, tgt, comp, inv, label=label)
 
 
 def attach_isotropy(base: Groupoid, unit: int, group_table, label=None) -> Groupoid:
@@ -450,14 +460,22 @@ def attach_isotropy(base: Groupoid, unit: int, group_table, label=None) -> Group
             if g == 0 and h == 0:
                 continue
             comp[gid(g), gid(h)] = gid(int(grp.comp[g, h]))
-    out = Groupoid(base.n_units, src, tgt, comp, inv,
-                   label=label or f"{base.label}+iso@{unit}")
-    return _finalize(out)
+    return Groupoid(base.n_units, src, tgt, comp, inv,
+                    label=label or f"{base.label}+iso@{unit}")
 
 
 # -- JSON --------------------------------------------------------------------
 
 def build_from_json(spec: dict) -> Groupoid:
+    """The groupoid of a build spec, validated once: a nested part is
+    checked only where it is built from user tables."""
+    g = _build(spec)
+    if spec.get("kind") in ("pair", "disjoint_union", "attach_isotropy"):
+        _finalize(g)
+    return g
+
+
+def _build(spec: dict) -> Groupoid:
     try:
         kind = spec.get("kind")
         if kind == "pair":
@@ -472,9 +490,9 @@ def build_from_json(spec: dict) -> Groupoid:
         elif kind == "sign_flip":
             g = sign_flip_groupoid(int(spec.get("radius", 2)))
         elif kind == "disjoint_union":
-            g = disjoint_union([build_from_json(p) for p in spec["parts"]])
+            g = disjoint_union([_build(p) for p in spec["parts"]])
         elif kind == "attach_isotropy":
-            g = attach_isotropy(build_from_json(spec["base"]), int(spec["unit"]),
+            g = attach_isotropy(_build(spec["base"]), int(spec["unit"]),
                                 spec["group_table"])
         else:
             raise InputError(f"unknown build kind {kind!r}")

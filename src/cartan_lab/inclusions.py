@@ -8,6 +8,7 @@ obstructions; bimodule_spectral and expectation_onto_subalgebra cover the
 bimodule closure test and conditional expectations onto subalgebras.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,10 +62,7 @@ class InclusionReport:
 
 
 def diagonal_basis(ctx: Context) -> Basis:
-    b = Basis(ctx)
-    for d in ctx.unit_deltas():
-        b.extend(d)
-    return b
+    return Basis.coordinate(ctx, ctx.groupoid.units())
 
 
 def _require_diagonal(ctx: Context, basis: Basis):
@@ -75,11 +73,7 @@ def _require_diagonal(ctx: Context, basis: Basis):
 
 def _isotropy_span(ctx: Context) -> Basis:
     g = ctx.groupoid
-    b = Basis(ctx)
-    for a in range(g.num_arrows):
-        if int(g.src[a]) == int(g.tgt[a]):
-            b.extend(ctx.delta(a))
-    return b
+    return Basis.coordinate(ctx, np.flatnonzero(g.src == g.tgt))
 
 
 def _implemented_for(n: El, ctx: Context):
@@ -237,10 +231,7 @@ def classify(ctx: Context, c_basis: Basis | None = None,
 # -- the wide-subgroupoid correspondence -------------------------------------
 
 def subgroupoid_algebra(ctx: Context, members) -> Basis:
-    b = Basis(ctx)
-    for a in sorted(members):
-        b.extend(ctx.delta(a))
-    return b
+    return Basis.coordinate(ctx, members)
 
 
 def union_support(basis: Basis) -> frozenset:
@@ -250,6 +241,17 @@ def union_support(basis: Basis) -> frozenset:
     return frozenset(out)
 
 
+def _generator_arrows(ctx: Context, guard: int) -> list:
+    """The off-unit arrows, once the generator scan over them is allowed."""
+    if not (ctx.ring.is_field and ctx.ring.is_finite):
+        raise InputError("generator scan needs a finite field")
+    offs = list(ctx.groupoid.off_units())
+    total = ctx.p ** len(offs)
+    if total > guard:
+        raise GuardExceeded("generator scan candidates", total, guard)
+    return offs
+
+
 def monic_off_generators(ctx: Context, guard: int = SCAN_GUARD):
     """Zero plus every moving-part vector with leading coefficient 1.
 
@@ -257,13 +259,8 @@ def monic_off_generators(ctx: Context, guard: int = SCAN_GUARD):
     a generator by a unit leaves the closure alone, so these cover every
     singly generated intermediate subalgebra.
     """
-    if not (ctx.ring.is_field and ctx.ring.is_finite):
-        raise InputError("generator scan needs a finite field")
-    offs = list(ctx.groupoid.off_units())
+    offs = _generator_arrows(ctx, guard)
     p = ctx.p
-    total = p ** len(offs)
-    if total > guard:
-        raise GuardExceeded("generator scan candidates", total, guard)
     yield ctx.zero()
     for lead in range(len(offs)):
         head = offs[lead]
@@ -279,14 +276,36 @@ def monic_off_generators(ctx: Context, guard: int = SCAN_GUARD):
 def singly_generated_closures(ctx: Context, guard: int = SCAN_GUARD):
     """The distinct closures alg(D + {gen}) over monic_off_generators, as
     {key: (closure, first generator)} in first-seen order, and the number of
-    generators scanned."""
-    closures: dict = {}
-    scanned = 0
-    for gen in monic_off_generators(ctx, guard):
-        scanned += 1
-        c = diagonal_basis(ctx) if gen.is_zero() else algebra_closure(ctx, [gen])
-        closures.setdefault(c.key(), (c, gen))
-    return closures, scanned
+    generators scanned.
+
+    On a principal groupoid a closure depends only on its generator's
+    support (algebra_closure), so the 2^N supports of the N off-unit arrows
+    are walked instead of the (p^N - 1)/(p - 1) + 1 generators, in the order
+    of their indicators among the generators.  The indicator of a support T
+    has T's lead and is 1 wherever a generator with support T is nonzero, so
+    it comes first among them, and it is the first generator of its
+    closure."""
+    g = ctx.groupoid
+    if not g.is_principal():
+        closures: dict = {}
+        scanned = 0
+        for gen in monic_off_generators(ctx, guard):
+            scanned += 1
+            c = diagonal_basis(ctx) if gen.is_zero() else algebra_closure(ctx, [gen])
+            closures.setdefault(c.key(), (c, gen))
+        return closures, scanned
+    offs = _generator_arrows(ctx, guard)
+    first: dict = {g.compose_closure(g.units()): []}
+    for lead, head in enumerate(offs):
+        tail = offs[lead + 1:]
+        for bits in itertools.product((0, 1), repeat=len(tail)):
+            support = [head] + [a for a, bit in zip(tail, bits) if bit]
+            first.setdefault(g.compose_closure([*g.units(), *support]), support)
+    closures = {}
+    for arrows, support in first.items():
+        c = Basis.coordinate(ctx, arrows)
+        closures[c.key()] = (c, ctx.indicator(support))
+    return closures, (ctx.p ** len(offs) - 1) // (ctx.p - 1) + 1
 
 
 @dataclass

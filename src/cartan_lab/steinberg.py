@@ -14,6 +14,9 @@ solves behind them are the one place that knows how coefficients are
 stored: numpy int64 residues over F_p, object arrays of Fraction over Q.
 Spans (Basis), subalgebra closures and those solves share one elimination
 kernel for Q and F_p, exactlin's reduced echelon step on coefficient dicts.
+A span of deltas is built without it, as its arrow set (Basis.coordinate);
+on a principal groupoid every subalgebra containing the unit deltas is one,
+and algebra_closure closes the arrow set under composition instead.
 """
 
 import hashlib
@@ -324,7 +327,7 @@ class Basis:
     dense solves also eliminate through: coeffs[i] is rows[i]'s coefficient
     dict, in the ring's canonical values.  The kernel replaces a changed dict
     rather than edit it, so bases may share them.  rows, the same vectors as
-    elements, is built from coeffs when first read after a change.
+    elements, and key() are built when first read after a change.
     """
 
     def __init__(self, ctx: Context):
@@ -334,6 +337,19 @@ class Basis:
         self.coeffs: list[dict] = []
         self.pivots: list[int] = []
         self._rows: list[El] | None = None
+        self._key: tuple | None = None
+
+    @classmethod
+    def coordinate(cls, ctx: Context, arrows) -> "Basis":
+        """The span of the deltas of the given arrows: its pivots are the
+        sorted arrows, and each row is 1 at its own pivot, so its key is
+        known without building the rows."""
+        b = cls(ctx)
+        b.pivots = sorted(int(a) for a in arrows)
+        one = ctx.ring.one
+        b.coeffs = [{a: one} for a in b.pivots]
+        b._key = tuple(((a, str(one)),) for a in b.pivots)
+        return b
 
     @property
     def rows(self) -> list[El]:
@@ -358,7 +374,7 @@ class Basis:
         if not res:
             return False
         exactlin.insert_residue(self.coeffs, self.pivots, res, self.ctx.ring.modulus)
-        self._rows = None
+        self._rows = self._key = None
         return True
 
     def elements(self):
@@ -380,11 +396,13 @@ class Basis:
         b = Basis(self.ctx)
         b.coeffs = list(self.coeffs)
         b.pivots = list(self.pivots)
-        b._rows = self._rows
+        b._rows, b._key = self._rows, self._key
         return b
 
     def key(self):
-        return tuple(row.key() for row in self.rows)
+        if self._key is None:
+            self._key = tuple(row.key() for row in self.rows)
+        return self._key
 
     def to_json(self):
         return [row.to_json() for row in self.rows]
@@ -398,7 +416,7 @@ def span_closure(ctx: Context, elements) -> Basis:
 
 
 def full_algebra_basis(ctx: Context) -> Basis:
-    return span_closure(ctx, ctx.basis_deltas())
+    return Basis.coordinate(ctx, range(ctx.dim))
 
 
 def corner_blocks(f: El) -> dict:
@@ -449,22 +467,32 @@ def intersect_spans(b1: Basis, b2: Basis) -> Basis:
     return out
 
 
-def algebra_closure(ctx: Context, generators, include_units: bool = True) -> Basis:
-    """Smallest subalgebra span containing the generators (and the unit
-    indicators unless told otherwise).
+def algebra_closure(ctx: Context, generators) -> Basis:
+    """Smallest subalgebra span containing the unit deltas and the generators.
 
-    Semi-naive evaluation: found lists, in order, the elements that grew the
-    span, and they span it.  Each is multiplied once on each side with every
-    earlier one, and once with itself; a product that grows the span joins
-    the list.  When the list is exhausted, every product of two spanning
-    elements lies in the span, so by bilinearity the span is closed under
-    multiplication.  Every entry grew the span, so at most dim A entries are
-    ever made, and the loop ends.  A span of dimension dim A is A, closed
-    already, so the loop stops there.
+    On a principal groupoid each corner delta_v A delta_w holds at most one
+    arrow.  The closure C contains D, so it is a D-bimodule, and
+    delta_v f delta_w = f(a) delta_a puts delta_a in C for every arrow a in
+    the support of a generator f.  The deltas of the composition closure of
+    the units and those supports span an algebra containing the generators
+    (delta_a delta_b = omega(a, b) delta_ab, omega a unit), so they span C.
+
+    Elsewhere, semi-naive evaluation: found lists, in order, the elements
+    that grew the span, and they span it.  Each is multiplied once on each
+    side with every earlier one, and once with itself; a product that grows
+    the span joins the list.  When the list is exhausted, every product of
+    two spanning elements lies in the span, so by bilinearity the span is
+    closed under multiplication.  Every entry grew the span, so at most
+    dim A entries are ever made, and the loop ends.  A span of dimension
+    dim A is A, closed already, so the loop stops there.
     """
-    seed = list(generators)
-    if include_units:
-        seed = ctx.unit_deltas() + seed
+    g = ctx.groupoid
+    if g.is_principal():
+        support = set(g.units())
+        for el in generators:
+            support.update(el.coeffs)
+        return Basis.coordinate(ctx, g.compose_closure(support))
+    seed = ctx.unit_deltas() + list(generators)
     basis = Basis(ctx)
     found = [el for el in seed if basis.extend(el)]
     done = 0

@@ -46,6 +46,20 @@ def k2xz2_bicharacter(g, ring):
     return twist.Cocycle(g, ring, table)
 
 
+def coboundary_cocycle(g, ring):
+    """The coboundary omega(a, b) = c(a) c(b) / c(ab) of c = 2 on the odd
+    off-unit arrows and 1 elsewhere: a normalized cocycle whose table is
+    not all 1s."""
+    def c(a):
+        return ring.normalize(2 if a % 2 and not g.is_unit(a) else 1)
+    table = {}
+    for a, b in g.composable_pairs().tolist():
+        v = ring.mul(ring.mul(c(a), c(b)), ring.try_inv(c(int(g.comp[a, b]))))
+        if v != ring.one:
+            table[(a, b)] = v
+    return twist.Cocycle(g, ring, table)
+
+
 @functools.cache
 def largest_allowed_prime():
     """The largest prime the int64 backend admits (coeff.MAX_PRIME_MODULUS)."""
@@ -58,12 +72,14 @@ def oracle_context(name):
     q = coeff.Ring(coeff.RATIONALS)
     k2xz2 = gpd.from_action(KLEIN_TABLE, K2XZ2_PERMS, label="k2xz2")
     klein = gpd.from_group(KLEIN_TABLE)
+    pair3 = gpd.pair_groupoid(3)
     iso = gpd.attach_isotropy(gpd.disjoint_union([gpd.pair_groupoid(2), gpd.pair_groupoid(1)]),
                               2, gpd.cyclic_table(3))
     return {
         "pair2/F3": lambda: make_context(gpd.pair_groupoid(2), f3),
         "pair3/F2": lambda: make_context(gpd.pair_groupoid(3), f2),
         "pair3/F3": lambda: make_context(gpd.pair_groupoid(3), f3),
+        "pair3/F3 twisted": lambda: Context(pair3, f3, coboundary_cocycle(pair3, f3)),
         "z2/F3": lambda: make_context(gpd.from_group(gpd.cyclic_table(2)), f3),
         "z2/F5": lambda: make_context(gpd.from_group(gpd.cyclic_table(2)), f5),
         "z2/Q": lambda: make_context(gpd.from_group(gpd.cyclic_table(2)), q),

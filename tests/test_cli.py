@@ -103,6 +103,36 @@ def test_malformed_context_exits_two(tmp_path, capsys, context):
     assert "malformed" in rep["message"]
 
 
+# a loop of order 5 with a unique inverse for each element, not associative
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "disjoint_union", "parts": [{"kind": "pair", "n": 2},
+                                          {"kind": "group", "table": LOOP5}]},
+     "invalid groupoid (group): associativity fails on (1,1,2)"),
+    ({"kind": "disjoint_union", "parts": [
+        {"kind": "attach_isotropy", "unit": 0, "base": {"kind": "pair", "n": 1},
+         "group_table": LOOP5}, {"kind": "pair", "n": 2}]},
+     "invalid groupoid (group): associativity fails on (1,1,2)"),
+    ({"kind": "attach_isotropy", "unit": 2, "group_table": [[0, 1], [1, 0]],
+      "base": {"kind": "disjoint_union", "parts": [{"kind": "pair", "n": 2}, {"kind": "pair"}]}},
+     "malformed build spec: KeyError('n')"),
+    ({"kind": "disjoint_union", "parts": [
+        {"kind": "attach_isotropy", "unit": 0, "base": {"kind": "pair", "n": 2},
+         "group_table": [[0, 1], [1, 0]]}]},
+     "unit 0 is not isolated; cannot attach isotropy"),
+], ids=["union-of-a-loop", "union-of-a-loop-attachment", "part-without-n",
+        "attachment-at-a-joined-unit"])
+def test_malformed_nested_spec_exits_two_with_its_message(tmp_path, capsys, spec, message):
+    path = write_ctx(tmp_path, {"context": {"groupoid": {"build": spec}, "ring": "F3",
+                                            "cocycle": None}})
+    code, out = run_cli(["validate", "--context", path], capsys)
+    assert code == 2
+    assert json.loads(out) == {"command": "validate", "error": "input-error",
+                               "message": message, "schema_version": 1}
+
+
 Z2_TABLE = {"units": 1, "arrows": [{"id": 0, "src": 0, "tgt": 0}, {"id": 1, "src": 0, "tgt": 0}],
             "comp": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]], "inv": [0, 1]}
 PAIR2_TABLE = {"units": 2,

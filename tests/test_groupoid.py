@@ -138,6 +138,51 @@ def test_close_arrow_set_is_a_closure():
     assert seed <= closed
 
 
+def fixed_point_closure(g, seed, inverses):
+    """Add every product of two members (and every inverse, if asked) until
+    a pass adds nothing."""
+    members = set(seed)
+    while True:
+        grown = set(members)
+        for a in members:
+            if inverses:
+                grown.add(int(g.inv[a]))
+            for b in members:
+                if g.comp[a, b] >= 0:
+                    grown.add(int(g.comp[a, b]))
+        if grown == members:
+            return frozenset(members)
+        members = grown
+
+
+@pytest.mark.parametrize("g", [
+    gpd.pair_groupoid(3), gpd.pair_groupoid(4), gpd.sign_flip_groupoid(2),
+    gpd.from_action(KLEIN_TABLE, K2XZ2_PERMS),
+    gpd.attach_isotropy(gpd.disjoint_union([gpd.pair_groupoid(2), gpd.pair_groupoid(1)]),
+                        2, gpd.cyclic_table(3)),
+], ids=["pair3", "pair4", "sign_flip2", "k2xz2", "iso"])
+def test_closures_match_the_fixed_point_loop(g):
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        seed = rng.choice(g.num_arrows, size=rng.integers(0, 4), replace=False).tolist()
+        assert g.compose_closure(seed) == fixed_point_closure(g, seed, False)
+        assert g.close_arrow_set(seed) == fixed_point_closure(g, [*g.units(), *seed], True)
+
+
+def test_a_nested_build_validates_its_user_tables_and_its_result(monkeypatch):
+    checked = []
+    validate = gpd.Groupoid.validate
+    monkeypatch.setattr(gpd.Groupoid, "validate",
+                        lambda self: checked.append(self.label) or validate(self))
+    g = gpd.build_from_json({"kind": "attach_isotropy", "unit": 4,
+                             "group_table": gpd.cyclic_table(4),
+                             "base": {"kind": "disjoint_union",
+                                      "parts": [{"kind": "pair", "n": 4},
+                                                {"kind": "pair", "n": 1}]}})
+    assert checked == ["group", "disjoint_union+iso@4"]
+    assert g.num_arrows == 20
+
+
 def test_restrict_to_invariant_units():
     g = gpd.disjoint_union([gpd.pair_groupoid(2), gpd.from_group(gpd.cyclic_table(3))])
     sub, arrow_map = g.restrict([0, 1])

@@ -32,6 +32,38 @@ def test_classify_matches_the_forced_scan_path(name):
         assert inc.classify(ctx, c).to_json() == oracle.scan_classify(ctx, c).to_json()
 
 
+def generator_closures(ctx):
+    """singly_generated_closures the long way: the closure of every monic
+    generator, in order, each key kept with its first generator."""
+    closures: dict = {}
+    scanned = 0
+    for gen in inc.monic_off_generators(ctx):
+        scanned += 1
+        c = inc.diagonal_basis(ctx) if gen.is_zero() else algebra_closure(ctx, [gen])
+        closures.setdefault(c.key(), (c, gen))
+    return closures, scanned
+
+
+@pytest.mark.parametrize("name", ["pair3/F2", "pair3/F3", "pair4/F2", "pair3/F3 twisted"])
+def test_support_scan_matches_the_generator_scan(name):
+    """On a principal groupoid the supports are walked, not the generators:
+    each closure keeps its first generator, in the same order, and the
+    count scanned is still the number of generators."""
+    ctx = oracle_context(name)
+    got, scanned = inc.singly_generated_closures(ctx)
+    want, want_scanned = generator_closures(ctx)
+    assert scanned == want_scanned
+    assert [(k, gen) for k, (_, gen) in got.items()] == [(k, gen) for k, (_, gen) in want.items()]
+    assert all(c.key() == k for k, (c, _) in got.items())
+
+
+def test_pqc_scan_reaches_pair4_f3_under_the_default_guard():
+    rep = inc.pqc_scan(oracle_context("pair4/F3"))
+    assert rep["generators_scanned"] == (3 ** 12 - 1) // 2 + 1 == 265_721
+    assert rep["distinct_closures"] == 355
+    assert rep["failure_count"] == 340
+
+
 def test_classify_principal_full(pair3_f3):
     rep = inc.classify(pair3_f3)
     assert rep.verdict == "ADP"

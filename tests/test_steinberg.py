@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from cartan_lab import coeff, twist
 from cartan_lab import groupoid as gpd
 from cartan_lab.errors import InputError, InternalCheckError
-from cartan_lab.steinberg import (Basis, Context, algebra_closure, context_from_json,
-                                  corner_blocks, decompose_bisections, el_from_json,
-                                  full_algebra_basis, intersect_spans, is_bisection,
-                                  span_closure)
+from cartan_lab.steinberg import (Basis, Context, El, algebra_closure, context_from_json,
+                                  corner_bases, corner_blocks, decompose_bisections,
+                                  el_from_json, full_algebra_basis, intersect_spans,
+                                  is_bisection, span_closure)
 
 from conftest import (KLEIN_TABLE, ORACLE_CONTEXTS, klein_bicharacter, largest_allowed_prime,
                       make_context, oracle_context)
@@ -276,6 +276,86 @@ def test_span_kernel_matches_the_el_oracle(name):
             el = ctx.random_element(rng)
             assert got.reduce(el) == want.reduce(el)
             assert got.contains(el) == want.reduce(el).is_zero()
+
+
+# sign_flip(2) keeps isotropy at its fixed point, so it checks the
+# semi-naive loop; the others are principal and close their arrow sets
+CLOSURE_CONTEXTS = ["pair3/F2", "pair3/F3", "pair(4)/Q", "sign_flip(2)/F3", "pair3/F3 twisted"]
+
+
+@pytest.fixture(scope="module")
+def closure_contexts():
+    return {name: oracle_context(name) for name in CLOSURE_CONTEXTS}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_algebra_closure_matches_the_round_oracle(closure_contexts, data):
+    ctx = closure_contexts[data.draw(st.sampled_from(CLOSURE_CONTEXTS))]
+    if ctx.is_fp:
+        value = st.integers(1, ctx.p - 1)
+    else:
+        value = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    drawn = data.draw(st.lists(st.dictionaries(st.integers(0, ctx.dim - 1), value, max_size=3),
+                               max_size=2))
+    gens = [ctx.element(c) for c in drawn]
+    got, want = algebra_closure(ctx, gens), oracle_closure(ctx, gens)
+    assert got.pivots == want.pivots
+    assert got.key() == want.key()
+
+
+def row_key(basis):
+    """The key of the basis, computed afresh from its coefficient dicts."""
+    return tuple(El(basis.ctx, row).key() for row in basis.coeffs)
+
+
+def test_basis_key_follows_every_change(pair3_f3):
+    ctx = pair3_f3
+    b = span_closure(ctx, [ctx.delta(0) + ctx.delta(3)])
+    before = b.key()
+    assert not b.extend(ctx.delta(0, 2) + ctx.delta(3, 2))
+    assert b.key() == before
+    assert b.extend(ctx.delta(3) + ctx.delta(4))
+    assert b.key() != before and b.key() == row_key(b)
+    # a copy shares the cache but not the changes
+    twin = b.copy()
+    kept = b.key()
+    assert twin.key() == kept
+    assert twin.extend(ctx.delta(5))
+    assert twin.key() == row_key(twin) != kept
+    assert b.key() == row_key(b) == kept
+
+
+@pytest.mark.parametrize("name", ["k2xz2/F3", "klein/F3 twisted", "pair3/F3"])
+def test_corner_bases_serve_fresh_keys(name):
+    ctx = oracle_context(name)
+    rng = random.Random(29)
+    for _ in range(4):
+        c = algebra_closure(ctx, [ctx.random_element(rng, rng.sample(range(ctx.dim), 2))])
+        c.key()
+        corners = corner_bases(c)
+        assert all(corner.key() == row_key(corner) for corner in corners.values())
+        keys = {vw: corner.key() for vw, corner in corners.items()}
+        # growing the span replaces the shared rows it changes, never edits them
+        c.extend(ctx.random_element(rng))
+        assert c.key() == row_key(c)
+        assert {vw: corner.key() for vw, corner in corners.items()} == keys
+        assert keys == {vw: row_key(corner) for vw, corner in corners.items()}
+
+
+@pytest.mark.parametrize("ring", ["Q", "F2", "F3"])
+def test_coordinate_spans_match_the_extended_spans(rings, ring):
+    ctx = make_context(gpd.pair_groupoid(3), rings[ring])
+    rng = random.Random(31)
+    for _ in range(20):
+        s, t = (rng.sample(range(ctx.dim), rng.randint(0, ctx.dim)) for _ in range(2))
+        b1, b2 = Basis.coordinate(ctx, s), Basis.coordinate(ctx, t)
+        want = span_closure(ctx, [ctx.delta(a) for a in s])
+        assert (b1.pivots, b1.coeffs, b1.key()) == (want.pivots, want.coeffs, want.key())
+        assert b1.key() == row_key(b1)
+        mid = intersect_spans(b1, b2)
+        assert mid.key() == Basis.coordinate(ctx, set(s) & set(t)).key() == row_key(mid)
+        assert mid.dim == b1.dim + b2.dim - span_closure(ctx, b1.rows + b2.rows).dim
 
 
 def test_basis_reduce_and_extend(pair3_f3):
