@@ -170,6 +170,8 @@ class Ring:
 
 def parse_ring(s: str) -> Ring:
     """Parse "Q", "F5", "Z6" style descriptors."""
+    if not isinstance(s, str):
+        raise InputError(f"a ring descriptor is a string, not {s!r}")
     s = s.strip()
     if s == "Q":
         return Ring(RATIONALS)

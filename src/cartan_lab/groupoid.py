@@ -505,6 +505,8 @@ def _build(spec: dict) -> Groupoid:
 
 
 def from_json(data: dict) -> Groupoid:
+    if not isinstance(data, dict):
+        raise InputError(f"a groupoid is an object, not {data!r}")
     if "build" in data:
         return build_from_json(data["build"])
     try:

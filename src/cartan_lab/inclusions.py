@@ -16,10 +16,9 @@ import numpy as np
 from .errors import GuardExceeded, InputError, InternalCheckError
 from .steinberg import (Basis, Context, El, algebra_closure, corner_bases, corner_blocks,
                         full_algebra_basis, intersect_spans, is_bisection, span_closure)
-from .normalizers import (SCAN_GUARD, check_scan_guard, counted_corners,
-                          enumerate_normalizers, first_unit,
-                          frobenius_unit_count, is_free_normalizer, normalizer_count,
-                          unit_counts)
+from .normalizers import (SCAN_GUARD, check_scan_guard, corner_answers, counted_corners,
+                          enumerate_normalizers, first_unit, frobenius_unit_count,
+                          normalizer_count, unit_counts)
 
 QC_VERDICTS = ("AQP", "ACP", "ADP")
 
@@ -154,26 +153,29 @@ def classify(ctx: Context, c_basis: Basis | None = None,
             counts[vw] = frobenius_unit_count(ctx, corners[vw])
         dims["normalizers"] = normalizer_count(counts)
 
-        # a span inside C that reaches dim C is C: stop extending it there;
-        # the units of a counted corner span it
-        nspan = Basis(ctx)
-        for n in [cert.n for cert in units] + [row for vw in counted for row in corners[vw].rows]:
-            if nspan.dim < basis.dim:
-                nspan.extend(n)
-        dims["normalizer_span"] = nspan.dim
-        flags["regular"] = nspan.key() == basis.key()
-        if not flags["regular"]:
-            wits["regular"] = next(row for row in basis.rows
-                                   if not nspan.contains(row))
+        # C and the spans of N(C,D) and of its free part are the direct sums
+        # of their corners, so a span is C when it is on every corner, and
+        # the first row of C outside it is the first of the corners' ones
+        answers = corner_answers(ctx, corners, certs, counted).values()
+        row_at = dict(zip(basis.pivots, basis.rows))
 
-        # faithful: Delta(n a) = 0 for every normalizer n forces a = 0;
-        # linearity in n lets a basis of spn N(C,D) stand in for all of it
-        mat = np.stack([np.concatenate([ctx.vec(n * c)[:n_units] for n in nspan.rows])
-                        for c in basis.rows], axis=1)
-        kern = ctx.nullspace(mat)
-        flags["delta_faithful"] = len(kern) == 0
-        if not flags["delta_faithful"]:
-            wits["delta_faithful"] = ctx.combination(kern[0], basis.rows)
+        def span_flag(flag: str, dim: str, i: int) -> None:
+            dims[dim] = sum(a[i][0] for a in answers)
+            outside = [a[i][1] for a in answers if a[i][1] is not None]
+            flags[flag] = not outside
+            if outside:
+                wits[flag] = row_at[min(outside)]
+
+        span_flag("regular", "normalizer_span", 0)
+
+        # faithful: Delta(n a) = 0 for every normalizer n forces a = 0.  For n
+        # in C_{w,v}, Delta(n a) is (n a_{v,w})(w) delta_w, so the kernel is
+        # the direct sum of the corners' ones, and its first vector, one per
+        # free row in pivot order, is that of the corner with the first free row
+        kernels = [a[2] for a in answers if a[2] is not None]
+        flags["delta_faithful"] = not kernels
+        if kernels:
+            wits["delta_faithful"] = El(ctx, min(kernels, key=lambda k: k[0])[1])
 
         # a counted corner's units are its c delta_g exactly when LBH holds
         # on it, and only where it fails can a unit fail a flag
@@ -194,16 +196,7 @@ def classify(ctx: Context, c_basis: Basis | None = None,
         if blocking is not None:
             wits["delta_idempotent_implemented"] = (blocking, _implemented_for(blocking, ctx))
 
-        fspan = Basis(ctx)
-        for n in ([cert.n for cert in units if is_free_normalizer(cert)]
-                  + [ctx.delta(v) for v, _ in counted]):
-            if fspan.dim < basis.dim:
-                fspan.extend(n)
-        dims["free_span"] = fspan.dim
-        flags["free_span"] = fspan.key() == basis.key()
-        if not flags["free_span"]:
-            wits["free_span"] = next(row for row in basis.rows
-                                     if not fspan.contains(row))
+        span_flag("free_span", "free_span", 1)
 
         lbh = first_failure(lambda n: not is_bisection(g, n.coeffs), False)
         flags["LBH"] = lbh is None

@@ -22,7 +22,9 @@ from w to v, x = delta_g s and y = t delta_g^-1 with s, t in the corner
 algebra delta_w A delta_w, where s t = delta_w forces t s = delta_w (finite
 dimension), so y x = delta_w.  Checking both products is the whole
 certificate.  It also follows that kn and nk are the indicators of the
-source and target units of supp n, which gives freeness in closed form.
+source and target units of supp n, which gives freeness in closed form: a
+corner unit is free exactly when its corner joins two distinct units or it
+is a multiple of a unit delta.
 
 The partner is unique, so n -> dagger n is an involution, and on the corner
 units it is a bijection from those of C_{v,w} onto those of C_{w,v}: a
@@ -101,6 +103,20 @@ the command returns.  The guard still measures every scanned corner,
 remembered or not, and the internal checks run on the first scan of a
 pair, whose inputs a later one would repeat.
 
+The span answers go the same way, corner by corner (corner_answers).  C is
+the direct sum of its corners, and the units of C_{v,w} span a subspace
+N_{v,w} of it, so N(C,D) and its free part span C exactly when they do on
+every corner, and the first row of C outside either is the first, in pivot
+order, of the corners' first rows outside it.  A unit between distinct
+units is free, and the free units of C_{v,v} are the multiples of delta_v,
+its first row.  For n in C_{w,v}, Delta(n a) sees only the block of a in
+C_{v,w}, and only at delta_w, so the kernel of the faithfulness pairing is
+the direct sum of the pairings of N_{w,v} against C_{v,w}; its first vector,
+the one of the first free row, is the first vector of the corner whose first
+free row comes first.  What a corner answers depends on its rows and those
+of its opposite corner alone, so the Context keeps each corner's answers as
+ints and coefficient dicts under the two echelon keys, beside the scans.
+
 Counted isotropy corners.  classify scans no isotropy corner R = C_{v,v}
 over F_p, p > 2, that is a commutative algebra (closed under the product, as
 every corner of a subalgebra is).  Its corner units are the units of R, whose
@@ -115,13 +131,15 @@ two units, x = (x - u) + u for a unit u that avoids x and 0 in every residue
 field: the units span R, and its free units are the multiples of delta_v.
 Each c delta_g in R is a unit (R is finite-dimensional and holds the inverse
 of delta_g), so LBH holds on R exactly when |U(R)| is p - 1 times the number
-of arrows g with delta_g in R.  Where it fails, first_unit certifies the
-candidates in the scan's order and stops at the first unit to fail a flag,
-which is the scan's first failure in R.  A unit blocking implementation by an
-idempotent carries delta_v and another arrow, so there is one only where LBH
-fails, and its search starts at the candidates led by delta_v, the corner's
-first row (v is its least arrow).  Compared by key with the first failures of
-the scanned corners, these give the witnesses of the whole scan.
+of arrows g with delta_g in R.  A one-dimensional R is F_p delta_v, with
+p - 1 units, taken and counted without its products or its Frobenius matrix.
+Where LBH fails, first_unit certifies the candidates in the scan's order and
+stops at the first unit to fail a flag, which is the scan's first failure in
+R.  A unit blocking implementation by an idempotent carries delta_v and
+another arrow, so there is one only where LBH fails, and its search starts at
+the candidates led by delta_v, the corner's first row (v is its least
+arrow).  Compared by key with the first failures of the scanned corners,
+these give the witnesses of the whole scan.
 """
 
 from collections import Counter
@@ -407,6 +425,61 @@ def normalizer_count(counts: dict) -> int:
     return sum(ways.values()) - 1
 
 
+# -- span answers, corner by corner ------------------------------------------
+
+def corner_answers(ctx: Context, corners: dict, certs, counted) -> dict:
+    """What classify reads off the span N_{v,w} of the units of each corner
+    C_{v,w} (module docstring), as {(v, w): (span, free, kernel)}.  span is
+    (dim N_{v,w}, the pivot of the first row of C_{v,w} outside it, or None),
+    free the same for the free units, and kernel (the pivot of the first free
+    row, the coefficients of the first kernel vector) of the pairing
+    (n, c) -> (n c)(w) of N_{w,v} against C_{v,w}, or None when the pairing
+    is nondegenerate.  certs are enumerate_normalizers' of the span, the
+    counted corners left out; their units span them.  Each corner's answers
+    are kept on the Context under its echelon key and its opposite's."""
+    g = ctx.groupoid
+    memo = ctx._corner_answers
+    keys = {(v, w): (corner.key(), corners[(w, v)].key() if (w, v) in corners else None)
+            for (v, w), corner in corners.items()}
+    missing = [vw for vw in corners if keys[vw] not in memo]
+    if missing:
+        monic: dict = {}
+        for cert in certs[1:]:
+            x = cert.n.coeffs
+            a = min(x)
+            if x[a] == 1:
+                monic.setdefault((int(g.tgt[a]), int(g.src[a])), []).append(x)
+        spans: dict = {}
+
+        def unit_span(vw) -> Basis:
+            if vw not in spans:
+                spans[vw] = corners[vw] if vw in counted else Basis(ctx)
+                for x in monic.get(vw, ()):
+                    if spans[vw].dim == corners[vw].dim:
+                        break
+                    spans[vw].extend(El(ctx, x))
+            return spans[vw]
+
+        for v, w in missing:
+            corner, span = corners[(v, w)], unit_span((v, w))
+            out = next((piv for piv, row in zip(corner.pivots, corner.rows)
+                        if not span.contains(row)), None)
+            # a unit between distinct units is free; an isotropy corner's free
+            # units are the multiples of delta_v, its first row
+            free = ((span.dim, out) if v != w
+                    else (1, corner.pivots[1] if corner.dim > 1 else None))
+            pairs = unit_span((w, v)).rows if (w, v) in corners else []
+            mat = np.array([[(n * c).value(w) for c in corner.rows] for n in pairs],
+                           dtype=np.int64).reshape(len(pairs), corner.dim)
+            kern = ctx.nullspace(mat)
+            kernel = None
+            if len(kern):
+                kernel = (corner.pivots[np.flatnonzero(kern[0])[-1]],
+                          ctx.combination(kern[0], corner.rows).coeffs)
+            memo[keys[(v, w)]] = ((span.dim, out), free, kernel)
+    return {vw: memo[keys[vw]] for vw in corners}
+
+
 # -- counted isotropy corners ------------------------------------------------
 
 def counted_corners(ctx: Context, corners: dict) -> list:
@@ -418,6 +491,9 @@ def counted_corners(ctx: Context, corners: dict) -> list:
     out = []
     for (v, w), corner in sorted(corners.items()):
         if v != w:
+            continue
+        if corner.dim == 1:   # F_p delta_v
+            out.append((v, v))
             continue
         rows = np.array([ctx.vec(row) for row in corner.rows])
         for row in rows:
@@ -439,6 +515,8 @@ def frobenius_unit_count(ctx: Context, corner: Basis) -> int:
     prod_i (p^d_i - 1), with dim J and the residue degrees d_i read off the
     matrix of F(x) = x^p on the rows (module docstring)."""
     p, d = ctx.p, corner.dim
+    if d == 1:   # F_p delta_v
+        return p - 1
     rows = np.array([ctx.vec(row) for row in corner.rows])
     # row-wise x^p by repeated squaring; column i of frob holds the
     # coordinates of row_i^p, its values at the pivots
@@ -492,18 +570,6 @@ def first_unit(ctx: Context, basis: Basis, corners: dict, v: int, accept,
             if accept(x) and is_normalizer(ctx, x, basis, corners) is not None:
                 return x
     return None
-
-
-# -- order and freeness ------------------------------------------------------
-
-def is_free_normalizer(cert: NormalizerCert) -> bool:
-    """Free: n lies in D, or (dagger n)(n dagger) = 0.  Those two projections
-    are the indicators of the source and target units of supp n, so the
-    product vanishes exactly when the two unit sets are disjoint."""
-    g = cert.n.ctx.groupoid
-    arrows = cert.n.coeffs
-    return (all(g.is_unit(a) for a in arrows)
-            or {int(g.src[a]) for a in arrows}.isdisjoint(int(g.tgt[a]) for a in arrows))
 
 
 # -- ultrafilters and reconstruction -----------------------------------------

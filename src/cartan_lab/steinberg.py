@@ -14,9 +14,10 @@ solves behind them are the one place that knows how coefficients are
 stored: numpy int64 residues over F_p, object arrays of Fraction over Q.
 Spans (Basis), subalgebra closures and those solves share one elimination
 kernel for Q and F_p, exactlin's reduced echelon step on coefficient dicts.
-A span of deltas is built without it, as its arrow set (Basis.coordinate);
-on a principal groupoid every subalgebra containing the unit deltas is one,
-and algebra_closure closes the arrow set under composition instead.
+A span of deltas is built without it, as its arrow set (Basis.coordinate),
+and two spans built so intersect in their common arrows; on a principal
+groupoid every subalgebra containing the unit deltas is one, and
+algebra_closure closes the arrow set under composition instead.
 """
 
 import hashlib
@@ -63,8 +64,12 @@ class Context:
             at = np.searchsorted(keys, [a * self.dim + b for a, b in self.cocycle.table])
             self._W[at] = list(self.cocycle.table.values())
         # the corner units of each scanned opposite corner pair as coefficient
-        # dicts, keyed by the two corners' echelon keys (normalizers._corner_units)
+        # dicts, keyed by the two corners' echelon keys (normalizers._corner_units),
+        # and each corner's span answers, keyed by its echelon key and its
+        # opposite's, None when absent (normalizers.corner_answers)
         self._corner_scans: dict = {}
+        self._corner_answers: dict = {}
+        self._hash: str | None = None
 
     # -- element constructors ------------------------------------------------
 
@@ -208,6 +213,10 @@ class Context:
         return out
 
     def canonical_hash(self) -> str:
+        """A digest of the tables, ring and twist; computed once, since a
+        Context does not change after it is built."""
+        if self._hash is not None:
+            return self._hash
         g = self.groupoid
         payload = {
             "units": g.n_units,
@@ -219,10 +228,13 @@ class Context:
             "cocycle": self.cocycle.to_json(),
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        self._hash = hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return self._hash
 
 
 def context_from_json(data: dict) -> Context:
+    if not isinstance(data, dict):
+        raise InputError(f"a context is an object with 'groupoid' and 'ring', not {data!r}")
     try:
         g = gpd.from_json(data["groupoid"])
         ring = parse_ring(data["ring"])
@@ -327,7 +339,9 @@ class Basis:
     dense solves also eliminate through: coeffs[i] is rows[i]'s coefficient
     dict, in the ring's canonical values.  The kernel replaces a changed dict
     rather than edit it, so bases may share them.  rows, the same vectors as
-    elements, and key() are built when first read after a change.
+    elements, and key() are built when first read after a change.  arrows is
+    the arrow set of a span that Basis.coordinate built, kept by copy and
+    dropped when extend grows the span; None for every other span.
     """
 
     def __init__(self, ctx: Context):
@@ -338,6 +352,7 @@ class Basis:
         self.pivots: list[int] = []
         self._rows: list[El] | None = None
         self._key: tuple | None = None
+        self.arrows: frozenset | None = None
 
     @classmethod
     def coordinate(cls, ctx: Context, arrows) -> "Basis":
@@ -345,7 +360,8 @@ class Basis:
         sorted arrows, and each row is 1 at its own pivot, so its key is
         known without building the rows."""
         b = cls(ctx)
-        b.pivots = sorted(int(a) for a in arrows)
+        b.arrows = frozenset(int(a) for a in arrows)
+        b.pivots = sorted(b.arrows)
         one = ctx.ring.one
         b.coeffs = [{a: one} for a in b.pivots]
         b._key = tuple(((a, str(one)),) for a in b.pivots)
@@ -374,7 +390,7 @@ class Basis:
         if not res:
             return False
         exactlin.insert_residue(self.coeffs, self.pivots, res, self.ctx.ring.modulus)
-        self._rows = self._key = None
+        self._rows = self._key = self.arrows = None
         return True
 
     def elements(self):
@@ -396,7 +412,7 @@ class Basis:
         b = Basis(self.ctx)
         b.coeffs = list(self.coeffs)
         b.pivots = list(self.pivots)
-        b._rows, b._key = self._rows, self._key
+        b._rows, b._key, b.arrows = self._rows, self._key, self.arrows
         return b
 
     def key(self):
@@ -453,9 +469,12 @@ def corner_bases(basis: Basis) -> dict:
 
 
 def intersect_spans(b1: Basis, b2: Basis) -> Basis:
-    """Intersection of two spans: each kernel vector x of [rows1 | -rows2]
-    gives the common element sum_j x_j rows1[j]."""
+    """Intersection of two spans: the span of their common arrows when both
+    carry an arrow set, else each kernel vector x of [rows1 | -rows2] gives
+    the common element sum_j x_j rows1[j]."""
     ctx = b1.ctx
+    if b1.arrows is not None and b2.arrows is not None:
+        return Basis.coordinate(ctx, b1.arrows & b2.arrows)
     if not b1.rows or not b2.rows:
         return Basis(ctx)
     m = np.stack([ctx.vec(row) for row in b1.rows]

@@ -15,7 +15,7 @@ from cartan_lab import normalizers as nz
 from cartan_lab.errors import GuardExceeded, InputError, InternalCheckError
 from cartan_lab.groupoid import Groupoid
 from cartan_lab.normalizers import NormalizerCert
-from cartan_lab.steinberg import El, corner_bases, full_algebra_basis
+from cartan_lab.steinberg import El, corner_bases, full_algebra_basis, span_closure
 from cartan_lab.twist import Cocycle
 
 
@@ -36,6 +36,16 @@ def verify_cert(cert: NormalizerCert, c_basis=None) -> bool:
         if not (c_basis.contains(n) and c_basis.contains(k)):
             return False
     return True
+
+
+def is_free_normalizer(cert: NormalizerCert) -> bool:
+    """Free: n lies in D, or (dagger n)(n dagger) = 0.  Those two projections
+    are the indicators of the source and target units of supp n, so the
+    product vanishes exactly when the two unit sets are disjoint."""
+    g = cert.n.ctx.groupoid
+    arrows = cert.n.coeffs
+    return (all(g.is_unit(a) for a in arrows)
+            or {int(g.src[a]) for a in arrows}.isdisjoint(int(g.tgt[a]) for a in arrows))
 
 
 def exhaustive_partners(ctx, n, c_basis=None, guard: int = 200_000):
@@ -81,6 +91,34 @@ def scan_classify(ctx, c_basis=None, guard: int = nz.SCAN_GUARD):
     forced-scan path that the counted isotropy corners must agree with."""
     with mock.patch.object(inclusions, "counted_corners", lambda ctx, corners: []):
         return inclusions.classify(ctx, c_basis, guard)
+
+
+def span_flags(ctx, c_basis=None):
+    """regular, free_span and delta_faithful of the span, with their dims and
+    witnesses, decided on the whole of C from every corner unit, none
+    counted: the spans of N(C,D) and of its free part, the first row of C
+    outside each, and the first kernel vector of the faithfulness matrix,
+    Delta(n c) for n over a basis of spn N(C,D) against c over the rows of C.
+    Returns (flags, witnesses, dims)."""
+    basis = c_basis if c_basis is not None else full_algebra_basis(ctx)
+    units = nz.enumerate_normalizers(ctx, basis)[1:]
+    nspan = span_closure(ctx, [cert.n for cert in units])
+    fspan = span_closure(ctx, [cert.n for cert in units if is_free_normalizer(cert)])
+    flags, wits, dims = {}, {}, {}
+    for flag, dim, span in (("regular", "normalizer_span", nspan),
+                            ("free_span", "free_span", fspan)):
+        dims[dim] = span.dim
+        outside = [row for row in basis.rows if not span.contains(row)]
+        flags[flag] = not outside
+        if outside:
+            wits[flag] = outside[0]
+    mat = np.stack([np.concatenate([ctx.vec(n * c)[:ctx.n_units] for n in nspan.rows])
+                    for c in basis.rows], axis=1)
+    kern = ctx.nullspace(mat)
+    flags["delta_faithful"] = not len(kern)
+    if len(kern):
+        wits["delta_faithful"] = ctx.combination(kern[0], basis.rows)
+    return flags, wits, dims
 
 
 def all_normalizers(ctx, basis) -> list:

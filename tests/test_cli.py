@@ -103,6 +103,25 @@ def test_malformed_context_exits_two(tmp_path, capsys, context):
     assert "malformed" in rep["message"]
 
 
+CONTEXTS_OF_THE_WRONG_SHAPE = {
+    "context-a-list": ([1], "a context is an object with 'groupoid' and 'ring', not [1]"),
+    "ring-a-number": ({"groupoid": {"build": {"kind": "pair", "n": 2}}, "ring": 5},
+                      "a ring descriptor is a string, not 5"),
+    "groupoid-a-number": ({"groupoid": 5, "ring": "F3"}, "a groupoid is an object, not 5"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.RUNNERS))
+@pytest.mark.parametrize("shape", sorted(CONTEXTS_OF_THE_WRONG_SHAPE))
+def test_a_context_of_the_wrong_shape_exits_two(tmp_path, capsys, command, shape):
+    context, message = CONTEXTS_OF_THE_WRONG_SHAPE[shape]
+    path = write_ctx(tmp_path, {"context": context})
+    code, out = run_cli([command, "--context", path], capsys)
+    assert code == 2
+    assert json.loads(out) == {"schema_version": 1, "command": command,
+                               "error": "input-error", "message": message}
+
+
 # a loop of order 5 with a unique inverse for each element, not associative
 LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
 
@@ -201,7 +220,7 @@ def test_corpus_isolates_a_malformed_job(tmp_path, capsys):
         dict(good, options={"guard_dim": "abc"}),
         dict(good, options={"seed": "abc"}),
         dict(good, options={"seed": None}),
-    ]
+    ] + [dict(good, context=context) for context, _ in CONTEXTS_OF_THE_WRONG_SHAPE.values()]
     jobs = [good] + bad + [good]
     for i, job in enumerate(jobs):
         (tmp_path / f"{i:02d}.json").write_text(json.dumps(job))

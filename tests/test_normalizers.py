@@ -138,7 +138,7 @@ def test_enumerate_full_pair3():
     assert len(everything) == 139
     for cert in everything:
         assert oracle.verify_cert(cert)
-    free = [c for c in everything if nz.is_free_normalizer(c)]
+    free = [c for c in everything if oracle.is_free_normalizer(c)]
     assert len(free) == 39
 
 
@@ -152,7 +152,7 @@ def test_enumerate_f5z3_counts(z3_f5):
     # zero plus the 96 invertibles; only the diagonal scalars are free
     certs = nz.enumerate_normalizers(z3_f5)
     assert len(certs) == 97
-    free = [c for c in certs if nz.is_free_normalizer(c)]
+    free = [c for c in certs if oracle.is_free_normalizer(c)]
     assert len(free) == 5
 
 
@@ -448,7 +448,7 @@ def test_free_closed_form_matches_products(name):
         for cert in nz.enumerate_normalizers(ctx, c):
             n, k = cert.n, cert.dagger
             want = d.contains(n) or ((k * n) * (n * k)).is_zero()
-            assert nz.is_free_normalizer(cert) == want, n
+            assert oracle.is_free_normalizer(cert) == want, n
 
 
 def _coeffs(certs) -> list:
@@ -548,28 +548,33 @@ def test_galois_scans_each_corner_pair_once(name, calls, monkeypatch):
 @pytest.mark.parametrize("name", ORACLE_CONTEXTS)
 def test_warm_corner_scans_classify_like_cold_ones(name):
     """Every singly generated closure classified on one context, whose
-    corner scans earlier closures filled, reports what it reports on a
-    context of its own."""
+    corner scans and corner answers earlier closures filled, reports what it
+    reports on a context of its own."""
     ctx = oracle_context(name)
     closures, _ = singly_generated_closures(ctx)
-    for c in [full_algebra_basis(ctx)] + [c for c, _ in closures.values()]:
+    full = full_algebra_basis(ctx)
+    # the full algebra comes again last, when every one of its corners is warm
+    for c in [full] + [c for c, _ in closures.values()] + [full]:
         cold = oracle_context(name)
         c_cold = span_closure(cold, [El(cold, row.coeffs) for row in c.rows])
         assert classify(ctx, c).to_json() == classify(cold, c_cold).to_json()
+    assert ctx._corner_answers
 
 
 @pytest.mark.parametrize("name", ORACLE_CONTEXTS)
 def test_galois_and_pqc_scan_do_not_read_the_memo(name, monkeypatch):
-    """The reports are those of emptying the corner scan memo before every
-    enumeration, when each enumeration scans its corner pairs afresh."""
+    """The reports are those of emptying the corner memo, scans and answers,
+    before every enumeration, when each enumeration scans its corner pairs
+    afresh and classify works out every corner's answers."""
     warm = oracle_context(name)
     want = (inc.galois(warm).to_json(), _jsonable(inc.pqc_scan(warm)))
     enumerate_normalizers = nz.enumerate_normalizers
     calls = []
 
     def cold(ctx, *args, **kwargs):
-        calls.append(len(ctx._corner_scans))
+        calls.append(len(ctx._corner_scans) + len(ctx._corner_answers))
         ctx._corner_scans.clear()
+        ctx._corner_answers.clear()
         return enumerate_normalizers(ctx, *args, **kwargs)
 
     monkeypatch.setattr(nz, "enumerate_normalizers", cold)
@@ -584,7 +589,7 @@ def test_the_corner_scan_memo_does_not_keep_its_context_alive():
     without waiting for the cycle collector."""
     ctx = oracle_context("pair3/F2")
     inc.galois(ctx)
-    assert ctx._corner_scans
+    assert ctx._corner_scans and ctx._corner_answers
     gone = weakref.ref(ctx)
     gc.disable()
     try:
@@ -848,6 +853,22 @@ def test_corner_units_decide_like_the_assembled_normalizers(name):
         implemented = next(((x.n, b) for x in everything
                             if (b := _implemented_for(x.n, ctx)) is not None), None)
         assert wits.get("delta_idempotent_implemented") == implemented
+
+
+@pytest.mark.parametrize("name", ORACLE_CONTEXTS)
+def test_corner_answers_decide_like_the_whole_span(name):
+    """regular, free_span and delta_faithful, their dims and witnesses, read
+    off the corners, are those decided on the whole span, on the full
+    algebra and every singly generated closure, classified on one context."""
+    ctx = oracle_context(name)
+    spans = [full_algebra_basis(ctx)] + [c for c, _ in singly_generated_closures(ctx)[0].values()]
+    for c in spans:
+        rep = classify(ctx, c)
+        flags, wits, dims = oracle.span_flags(ctx, c)
+        assert {k: rep.flags[k] for k in flags} == flags
+        assert {k: rep.witnesses[k] for k in wits} == wits
+        assert not (rep.witnesses.keys() & flags.keys()) - wits.keys()
+        assert {k: rep.dims[k] for k in dims} == dims
 
 
 # -- reconstruction ----------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cartan_lab import coeff, twist
+from cartan_lab import coeff, steinberg, twist
 from cartan_lab import groupoid as gpd
 from cartan_lab.errors import InputError, InternalCheckError
 from cartan_lab.steinberg import (Basis, Context, El, algebra_closure, context_from_json,
@@ -353,9 +353,26 @@ def test_coordinate_spans_match_the_extended_spans(rings, ring):
         want = span_closure(ctx, [ctx.delta(a) for a in s])
         assert (b1.pivots, b1.coeffs, b1.key()) == (want.pivots, want.coeffs, want.key())
         assert b1.key() == row_key(b1)
+        assert b1.arrows == frozenset(s) and want.arrows is None
         mid = intersect_spans(b1, b2)
+        assert mid.arrows == frozenset(s) & frozenset(t)
         assert mid.key() == Basis.coordinate(ctx, set(s) & set(t)).key() == row_key(mid)
+        # the same span without its arrow set intersects through the nullspace
+        assert intersect_spans(want, b2).key() == mid.key()
         assert mid.dim == b1.dim + b2.dim - span_closure(ctx, b1.rows + b2.rows).dim
+
+
+def test_copy_keeps_the_arrow_set_and_a_growing_extend_drops_it(pair3_f3):
+    ctx = pair3_f3
+    b = Basis.coordinate(ctx, [0, 1, 2, 3])
+    twin = b.copy()
+    assert twin.arrows == b.arrows == frozenset({0, 1, 2, 3})
+    assert not twin.extend(ctx.delta(3, 2))
+    assert twin.arrows == b.arrows
+    assert twin.extend(ctx.delta(4) + ctx.delta(5))
+    assert twin.arrows is None and b.arrows == frozenset({0, 1, 2, 3})
+    assert intersect_spans(twin, Basis.coordinate(ctx, [3, 4, 5])).key() == (
+        span_closure(ctx, [ctx.delta(3), ctx.delta(4) + ctx.delta(5)]).key())
 
 
 def test_basis_reduce_and_extend(pair3_f3):
@@ -417,6 +434,17 @@ def test_context_json_roundtrip_and_hash(z3_f5):
     again = context_from_json(data)
     assert again.canonical_hash() == z3_f5.canonical_hash()
     assert again.groupoid.num_arrows == 3
+
+
+def test_the_context_hash_is_worked_out_once(monkeypatch):
+    ctx = make_context(gpd.pair_groupoid(2), coeff.Ring(coeff.PRIME_FIELD, 3))
+    digest = ctx.canonical_hash()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the hash was worked out again")
+
+    monkeypatch.setattr(steinberg.json, "dumps", refuse)
+    assert ctx.canonical_hash() == digest
 
 
 def test_context_hash_distinguishes_ring_and_twist():

@@ -11,9 +11,14 @@ BENCHMARK.json's run_seconds.
 
 Each pair prints one line as it finishes, with both sides' value of the
 first end-to-end metric of BENCHMARK.json.  At the end, for every end-to-end
-metric of BENCHMARK.json, the script prints each side's median and quartiles
-and the number of pairs in which this checkout did better, by the metric's
-"better".  It exits 1 when any run is not correct.
+metric of BENCHMARK.json, the script prints each side's median and quartiles,
+the number of pairs in which this checkout did better, by the metric's
+"better", and two verdicts: whether a claimed gain holds (this checkout won
+at least 9 in 10 of the pairs, and its median beats the parent's by more than
+the distance between the parent's quartiles), and whether this checkout is
+worse than the bound (its median trails the parent's by more than the
+metric's "bound", a fraction of the parent's median).  It exits 1 when any
+run is not correct.
 """
 
 from __future__ import annotations
@@ -27,9 +32,27 @@ from pathlib import Path
 from bench_rows import run
 
 
+def quartiles(values: list) -> list:
+    return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+
+
 def spread(values: list) -> str:
-    q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    q1, q2, q3 = quartiles(values)
     return f"{q2:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def verdicts(parent: list, change: list, metric: dict) -> tuple[int, bool, bool]:
+    """For one end-to-end metric of BENCHMARK.json and its values in
+    matching pairs: (pairs the change won, whether a claimed gain holds,
+    whether the change is worse than the bound), as the module docstring
+    defines them; ties count for neither side."""
+    higher = metric["better"] == "higher"
+    wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+    q1, median, q3 = quartiles(parent)
+    gain = quartiles(change)[1] - median
+    if not higher:
+        gain = -gain
+    return wins, 10 * wins >= 9 * len(parent) and gain > q3 - q1, -gain > metric["bound"] * median
 
 
 def main(argv=None) -> int:
@@ -66,10 +89,11 @@ def main(argv=None) -> int:
         name = metric["name"]
         parent = [r["metrics"][name]["value"] for r in sides["parent"]]
         change = [r["metrics"][name]["value"] for r in sides["change"]]
-        higher = metric["better"] == "higher"
-        wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        wins, holds, worse = verdicts(parent, change, metric)
         print(f"  {name} ({metric['unit']}, {metric['better']} is better): "
-              f"{spread(parent)} -> {spread(change)}, won {wins}/{len(parent)}")
+              f"{spread(parent)} -> {spread(change)}, won {wins}/{len(parent)}; "
+              f"claim holds: {'yes' if holds else 'no'}; "
+              f"worse than bound {metric['bound']:g}: {'yes' if worse else 'no'}")
     return 0 if all(r["correct"] for runs in sides.values() for r in runs) else 1
 
 
