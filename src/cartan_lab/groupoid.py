@@ -8,7 +8,8 @@ src(a.b) = src(b).
 The builders from user tables (from_group, from_action, from_json) validate
 what they build.  pair_groupoid, disjoint_union and attach_isotropy do not:
 their result is a groupoid whenever their parts are, and build_from_json
-validates the groupoid it returns.
+validates the groupoid it returns.  Every builder refuses a composition table
+of more than MAX_TABLE_ENTRIES entries before it builds anything that size.
 """
 
 from dataclasses import dataclass, field
@@ -18,6 +19,9 @@ import numpy as np
 from cartan_lab.errors import GuardExceeded, InputError
 
 MAX_WIDE_NONUNIT_ARROWS = 24
+# the most entries of an n x n composition table a builder allocates: 32 MB
+# of int64, enough for the 1500^2 of Z1500
+MAX_TABLE_ENTRIES = 1 << 22
 ASSOC_BLOCK = 1 << 16   # entries per block of the associativity check
 
 
@@ -193,16 +197,9 @@ class Groupoid:
                                      *(int(self.inv[a]) for a in seed)])
 
     def is_wide_subgroupoid(self, members: frozenset) -> bool:
-        if not set(self.units()) <= members:
-            return False
-        for a in members:
-            if int(self.inv[a]) not in members:
-                return False
-            for b in members:
-                c = self.comp[a, b]
-                if c >= 0 and int(c) not in members:
-                    return False
-        return True
+        """Whether members is a wide subgroupoid: one that its closure does
+        not grow."""
+        return self.close_arrow_set(members) == members
 
     def wide_subgroupoids(self, max_off_units: int = MAX_WIDE_NONUNIT_ARROWS):
         """All wide subgroupoids, found by growing closures one arrow at a time.
@@ -227,32 +224,6 @@ class Groupoid:
                     queue.append(h2)
         return sorted(found, key=lambda m: (len(m), sorted(m)))
 
-    def restrict(self, unit_subset):
-        """Restriction to an invariant set of units.  Returns (groupoid, arrow_map)
-        where arrow_map sends old arrow ids to new ones."""
-        x = set(unit_subset)
-        for a in range(self.num_arrows):
-            if (self.src[a] in x) != (self.tgt[a] in x):
-                raise InputError(f"unit set not invariant: arrow {a} crosses the boundary")
-        keep = [a for a in range(self.num_arrows) if self.src[a] in x]
-        keep.sort(key=lambda a: (0 if self.is_unit(a) else 1, a))
-        old_units = [a for a in keep if self.is_unit(a)]
-        unit_renum = {u: i for i, u in enumerate(old_units)}
-        arrow_map = {a: i for i, a in enumerate(keep)}
-        n = len(keep)
-        src = np.array([unit_renum[int(self.src[a])] for a in keep], dtype=np.int64)
-        tgt = np.array([unit_renum[int(self.tgt[a])] for a in keep], dtype=np.int64)
-        comp = -np.ones((n, n), dtype=np.int64)
-        for i, a in enumerate(keep):
-            for j, b in enumerate(keep):
-                c = self.comp[a, b]
-                if c >= 0:
-                    comp[i, j] = arrow_map[int(c)]
-        inv = np.array([arrow_map[int(self.inv[a])] for a in keep], dtype=np.int64)
-        sub = Groupoid(len(old_units), src, tgt, comp, inv,
-                       label=f"{self.label}|restricted")
-        return sub, arrow_map
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -271,6 +242,14 @@ class Groupoid:
 def _first(mask: np.ndarray) -> int:
     """Flat index of the first nonzero entry, in row-major order."""
     return int(np.flatnonzero(mask)[0])
+
+
+def _check_table(num_arrows: int) -> None:
+    """Refuse a groupoid whose composition table would hold more than
+    MAX_TABLE_ENTRIES entries, before anything of its size is built."""
+    if num_arrows * num_arrows > MAX_TABLE_ENTRIES:
+        raise GuardExceeded("groupoid table entries", num_arrows * num_arrows,
+                            MAX_TABLE_ENTRIES)
 
 
 def _finalize(g: Groupoid) -> Groupoid:
@@ -293,6 +272,7 @@ def _group_identity(table) -> int:
 def from_group(table, label: str = "group") -> Groupoid:
     """Group as a one-unit groupoid.  table[g][h] is the product gh."""
     n = len(table)
+    _check_table(n)
     if any(len(row) != n for row in table):
         raise InputError("multiplication table is not square")
     e = _group_identity(table)
@@ -315,6 +295,7 @@ def from_group(table, label: str = "group") -> Groupoid:
 
 
 def cyclic_table(n: int):
+    _check_table(n)
     return [[(a + b) % n for b in range(n)] for a in range(n)]
 
 
@@ -323,6 +304,7 @@ def pair_groupoid(n: int) -> Groupoid:
     the units (u, u) come first, then the pairs i != j in row-major order."""
     if n < 1:
         raise InputError("pair groupoid needs n >= 1")
+    _check_table(n * n)
     ids = np.empty((n, n), dtype=np.int64)
     off = ~np.eye(n, dtype=bool)
     ids[~off] = np.arange(n)
@@ -344,6 +326,7 @@ def from_action(group_table, perms, label: str = "action") -> Groupoid:
     if len(perms) != ng:
         raise InputError("one permutation per group element required")
     npts = len(perms[0])
+    _check_table(ng * npts)
     e = _group_identity(group_table)
     if perms[e] != list(range(npts)):
         raise InputError("identity must act trivially")
@@ -387,6 +370,7 @@ def from_action(group_table, perms, label: str = "action") -> Groupoid:
 def sign_flip_groupoid(radius: int = 2) -> Groupoid:
     """Z2 acting on {-radius..radius} by negation; point 0 keeps isotropy."""
     npts = 2 * radius + 1
+    _check_table(2 * npts)
     flip = [npts - 1 - x for x in range(npts)]
     return from_action(cyclic_table(2), [list(range(npts)), flip],
                        label=f"sign_flip({npts})")
@@ -395,6 +379,7 @@ def sign_flip_groupoid(radius: int = 2) -> Groupoid:
 def disjoint_union(parts, label: str = "disjoint_union") -> Groupoid:
     if not parts:
         raise InputError("disjoint union needs at least one part")
+    _check_table(sum(p.num_arrows for p in parts))
     total_units = sum(p.n_units for p in parts)
     maps = []
     unit_off = 0
@@ -439,6 +424,7 @@ def attach_isotropy(base: Groupoid, unit: int, group_table, label=None) -> Group
     grp = from_group(group_table)
     extra = grp.num_arrows - 1
     total = base.num_arrows + extra
+    _check_table(total)
     src = np.zeros(total, dtype=np.int64)
     tgt = np.zeros(total, dtype=np.int64)
     comp = -np.ones((total, total), dtype=np.int64)
@@ -513,6 +499,7 @@ def from_json(data: dict) -> Groupoid:
         n_units = int(data["units"])
         arrows = data["arrows"]
         n = len(arrows)
+        _check_table(n)
         src = np.zeros(n, dtype=np.int64)
         tgt = np.zeros(n, dtype=np.int64)
         seen = set()

@@ -300,7 +300,7 @@ class El:
 
     def key(self):
         """Canonical sortable form."""
-        return tuple(sorted((a, str(v)) for a, v in self.coeffs.items()))
+        return coeffs_key(self.coeffs)
 
     def to_json(self) -> dict:
         r = self.ctx.ring
@@ -310,6 +310,12 @@ class El:
         if not self.coeffs:
             return "0"
         return " + ".join(f"{v}@{a}" for a, v in sorted(self.coeffs.items()))
+
+
+def coeffs_key(coeffs: dict) -> tuple:
+    """The canonical sortable form of a coefficient dict in canonical,
+    zero-purged values: its (arrow, coefficient string) pairs by arrow."""
+    return tuple(sorted((a, str(v)) for a, v in coeffs.items()))
 
 
 def el_from_json(ctx: Context, data: dict) -> El:
@@ -357,14 +363,12 @@ class Basis:
     @classmethod
     def coordinate(cls, ctx: Context, arrows) -> "Basis":
         """The span of the deltas of the given arrows: its pivots are the
-        sorted arrows, and each row is 1 at its own pivot, so its key is
-        known without building the rows."""
+        sorted arrows, and each row is 1 at its own pivot."""
         b = cls(ctx)
         b.arrows = frozenset(int(a) for a in arrows)
         b.pivots = sorted(b.arrows)
         one = ctx.ring.one
         b.coeffs = [{a: one} for a in b.pivots]
-        b._key = tuple(((a, str(one)),) for a in b.pivots)
         return b
 
     @property
@@ -393,21 +397,6 @@ class Basis:
         self._rows = self._key = self.arrows = None
         return True
 
-    def elements(self):
-        """Every element of the span (finite field only)."""
-        r = self.ctx.ring
-        if not r.is_finite:
-            raise InputError("cannot enumerate a span over Q")
-        vals = r.elements()
-        out = [self.ctx.zero()]
-        for row in self.rows:
-            nxt = []
-            for base in out:
-                for lam in vals:
-                    nxt.append(base + row.scale(lam))
-            out = nxt
-        return out
-
     def copy(self) -> "Basis":
         b = Basis(self.ctx)
         b.coeffs = list(self.coeffs)
@@ -417,7 +406,7 @@ class Basis:
 
     def key(self):
         if self._key is None:
-            self._key = tuple(row.key() for row in self.rows)
+            self._key = tuple(coeffs_key(c) for c in self.coeffs)
         return self._key
 
     def to_json(self):

@@ -48,6 +48,20 @@ def is_free_normalizer(cert: NormalizerCert) -> bool:
             or {int(g.src[a]) for a in arrows}.isdisjoint(int(g.tgt[a]) for a in arrows))
 
 
+def span_elements(basis) -> list:
+    """Every element of the span (finite field only): each combination of
+    the rows, the first row's coefficient varying slowest."""
+    ctx = basis.ctx
+    r = ctx.ring
+    if not r.is_finite:
+        raise InputError("cannot enumerate a span over Q")
+    vals = r.elements()
+    out = [ctx.zero()]
+    for row in basis.rows:
+        out = [base + row.scale(lam) for base in out for lam in vals]
+    return out
+
+
 def exhaustive_partners(ctx, n, c_basis=None, guard: int = 200_000):
     """All k in the span with verify_cert(n, k): partner uniqueness by brute
     force on tiny contexts."""
@@ -57,7 +71,7 @@ def exhaustive_partners(ctx, n, c_basis=None, guard: int = 200_000):
     count = len(ctx.ring.elements()) ** basis.dim
     if count > guard:
         raise GuardExceeded("exhaustive partner scan", count, guard)
-    return [k for k in basis.elements() if verify_cert(NormalizerCert(n, k))]
+    return [k for k in span_elements(basis) if verify_cert(NormalizerCert(n, k))]
 
 
 def corner_units(ctx, basis, _corners=None, skip=()) -> dict:

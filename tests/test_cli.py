@@ -388,6 +388,19 @@ def test_reconstruct_z6_f7_is_refused_before_its_tables(tmp_path):
                               "exceeds guard 3000000")
 
 
+@pytest.mark.parametrize("build, entries", [
+    ({"kind": "pair", "n": 3000}, 3000 ** 4),
+    ({"kind": "cyclic_group", "n": 100000}, 100000 ** 2),
+], ids=["pair", "cyclic_group"])
+def test_an_oversized_table_is_refused_before_it_is_built(tmp_path, build, entries):
+    data = {"context": {"groupoid": {"build": build}, "ring": "F2", "cocycle": None}}
+    code, out = run_capped(["validate", "--context", write_ctx(tmp_path, data)])
+    assert code == 3
+    rep = json.loads(out)
+    assert rep["error"] == "guard-exceeded"
+    assert rep["message"] == f"groupoid table entries: measured {entries} exceeds guard 4194304"
+
+
 def test_average_honours_guard_dim(capsys):
     # pair(3)/F5 with three off-unit arrows in three pieces: 2^3 = 8 members
     path = str(CORPUS / "16-pair3-f5-average.json")

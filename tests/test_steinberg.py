@@ -217,7 +217,12 @@ def test_algebra_closure_is_idempotent_and_contains_units(pair3_f3):
 # -- the span kernel against the El-arithmetic kernel it replaced -------------
 
 class OracleBasis(Basis):
-    """Echelon basis kept with El arithmetic, one new El per pivot step."""
+    """Echelon basis kept with El arithmetic, one new El per pivot step.  It
+    keeps its rows in rows and leaves coeffs empty, so its key is read off
+    the rows."""
+
+    def key(self):
+        return tuple(row.key() for row in self.rows)
 
     def reduce(self, el):
         r = self.ctx.ring
@@ -324,6 +329,19 @@ def test_basis_key_follows_every_change(pair3_f3):
     assert twin.extend(ctx.delta(5))
     assert twin.key() == row_key(twin) != kept
     assert b.key() == row_key(b) == kept
+
+
+@pytest.mark.parametrize("ring", ["Q", "F3"])
+def test_basis_key_is_the_key_of_its_rows(rings, ring):
+    ctx = make_context(gpd.pair_groupoid(3), rings[ring])
+    rng = random.Random(37)
+    coordinate = Basis.coordinate(ctx, rng.sample(range(ctx.dim), 4))
+    extended = span_closure(ctx, [ctx.random_element(rng) for _ in range(3)])
+    copied = extended.copy()
+    copied.extend(ctx.random_element(rng))
+    closure = algebra_closure(ctx, [ctx.random_element(rng, [0, 3, 4])])
+    for b in [coordinate, extended, copied, *corner_bases(closure).values()]:
+        assert b.key() == tuple(row.key() for row in b.rows)
 
 
 @pytest.mark.parametrize("name", ["k2xz2/F3", "klein/F3 twisted", "pair3/F3"])
