@@ -22,6 +22,7 @@ from . import expectation as expmod
 from . import inclusions as inclmod
 from . import normalizers as normmod
 from .errors import GuardExceeded, InputError, InternalCheckError
+from .groupoid import json_int
 from .steinberg import (Basis, Context, El, algebra_closure, context_from_json,
                         el_from_json)
 
@@ -146,10 +147,7 @@ def _run_two_arrows(ctx: Context, data: dict, opts: dict):
 def _run_bad_apple(ctx: Context, data: dict, opts: dict):
     unit = _field_of(data, "unit")
     if unit is not None:
-        try:
-            unit = int(unit)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"'unit' must be a unit id, not {unit!r}") from exc
+        unit = json_int(unit, "unit")
     c_basis, proof = inclmod.counterexample_bad_apple(ctx, v=unit, guard=opts["guard"])
     return proof, proof["classification"].verdict
 
@@ -275,11 +273,7 @@ def _run_corpus(dirpath: str, opts: dict) -> tuple[dict, int]:
                 raise InputError(f"'options' in {path.name} must be an object")
             for key, opt in (("guard_dim", "guard"), ("seed", "seed")):
                 if key in options:
-                    try:
-                        job_opts[opt] = int(options[key])
-                    except (TypeError, ValueError, OverflowError) as exc:
-                        raise InputError(f"'{key}' in {path.name} must be an integer, "
-                                         f"not {options[key]!r}") from exc
+                    job_opts[opt] = json_int(options[key], key)
             job_opts["expect"] = job.get("expect")
             return _run_one(command, job, job_opts)
         except (InputError, GuardExceeded, InternalCheckError) as exc:

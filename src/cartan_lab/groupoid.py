@@ -452,6 +452,13 @@ def attach_isotropy(base: Groupoid, unit: int, group_table, label=None) -> Group
 
 # -- JSON --------------------------------------------------------------------
 
+def json_int(value, name: str) -> int:
+    """A JSON integer field, refusing what int() would take: 2.5, true, "3"."""
+    if type(value) is not int:
+        raise InputError(f"malformed '{name}': {value!r} is not a JSON integer")
+    return value
+
+
 def build_from_json(spec: dict) -> Groupoid:
     """The groupoid of a build spec, validated once: a nested part is
     checked only where it is built from user tables."""
@@ -465,20 +472,20 @@ def _build(spec: dict) -> Groupoid:
     try:
         kind = spec.get("kind")
         if kind == "pair":
-            g = pair_groupoid(int(spec["n"]))
+            g = pair_groupoid(json_int(spec["n"], "n"))
         elif kind == "group":
             g = from_group(spec["table"], label=spec.get("label", "group"))
         elif kind == "cyclic_group":
-            g = from_group(cyclic_table(int(spec["n"])), label=f"Z{spec['n']}")
+            g = from_group(cyclic_table(json_int(spec["n"], "n")), label=f"Z{spec['n']}")
         elif kind == "action":
             g = from_action(spec["group_table"], [list(p) for p in spec["perms"]],
                             label=spec.get("label", "action"))
         elif kind == "sign_flip":
-            g = sign_flip_groupoid(int(spec.get("radius", 2)))
+            g = sign_flip_groupoid(json_int(spec.get("radius", 2), "radius"))
         elif kind == "disjoint_union":
             g = disjoint_union([_build(p) for p in spec["parts"]])
         elif kind == "attach_isotropy":
-            g = attach_isotropy(_build(spec["base"]), int(spec["unit"]),
+            g = attach_isotropy(_build(spec["base"]), json_int(spec["unit"], "unit"),
                                 spec["group_table"])
         else:
             raise InputError(f"unknown build kind {kind!r}")
@@ -496,7 +503,7 @@ def from_json(data: dict) -> Groupoid:
     if "build" in data:
         return build_from_json(data["build"])
     try:
-        n_units = int(data["units"])
+        n_units = json_int(data["units"], "units")
         arrows = data["arrows"]
         n = len(arrows)
         _check_table(n)
@@ -504,19 +511,19 @@ def from_json(data: dict) -> Groupoid:
         tgt = np.zeros(n, dtype=np.int64)
         seen = set()
         for rec in arrows:
-            a = int(rec["id"])
+            a = json_int(rec["id"], "id")
             if a in seen or not (0 <= a < n):
                 raise InputError("arrow ids must be dense and unique")
             seen.add(a)
-            src[a] = int(rec["src"])
-            tgt[a] = int(rec["tgt"])
+            src[a] = json_int(rec["src"], "src")
+            tgt[a] = json_int(rec["tgt"], "tgt")
         comp = -np.ones((n, n), dtype=np.int64)
         for entry in data["comp"]:
-            a, b, c = (int(x) for x in entry)
+            a, b, c = (json_int(x, "comp") for x in entry)
             if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
                 raise InputError(f"comp entry {[a, b, c]} names an arrow outside 0..{n - 1}")
             comp[a, b] = c
-        inv = np.array([int(x) for x in data["inv"]], dtype=np.int64)
+        inv = np.array([json_int(x, "inv") for x in data["inv"]], dtype=np.int64)
     except InputError:   # a ValueError too; keep its own message
         raise
     except (KeyError, OverflowError, TypeError, ValueError) as exc:

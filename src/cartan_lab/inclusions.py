@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GuardExceeded, InputError, InternalCheckError
-from .steinberg import (Basis, Context, El, algebra_closure, corner_bases, corner_blocks,
-                        full_algebra_basis, intersect_spans, is_bisection, span_closure)
+from .steinberg import (Basis, Context, El, algebra_closure, corner_blocks, full_algebra_basis,
+                        intersect_spans, is_bisection, span_closure)
 from .normalizers import (SCAN_GUARD, check_scan_guard, corner_answers, counted_corners,
                           enumerate_normalizers, first_unit, frobenius_unit_count,
                           normalizer_count, unit_counts)
@@ -63,15 +63,11 @@ def diagonal_basis(ctx: Context) -> Basis:
     return Basis.coordinate(ctx, ctx.groupoid.units())
 
 
-def _require_diagonal(ctx: Context, basis: Basis):
-    for d in ctx.unit_deltas():
-        if not basis.contains(d):
-            raise InputError("C must contain every unit delta")
-
-
-def _isotropy_span(ctx: Context) -> Basis:
-    g = ctx.groupoid
-    return Basis.coordinate(ctx, np.flatnonzero(g.src == g.tgt))
+def delta_arrows(basis: Basis) -> set:
+    """The arrows a with delta_a in the span: the pivots whose reduced
+    echelon row is delta_a.  For a unit v of a D-bimodule that row is the
+    first row of C_{v,v}, v being the least arrow of vGv."""
+    return {piv for piv, row in zip(basis.pivots, basis.coeffs) if len(row) == 1}
 
 
 def _implemented_for(n: El, ctx: Context):
@@ -127,11 +123,13 @@ def classify(ctx: Context, c_basis: Basis | None = None,
         return InclusionReport(ctx, None, flags, wits, dims, verdict, notes)
 
     basis = c_basis.copy() if c_basis is not None else full_algebra_basis(ctx)
-    _require_diagonal(ctx, basis)
+    deltas = delta_arrows(basis)
+    if not set(g.units()) <= deltas:
+        raise InputError("C must contain every unit delta")
     dims: dict = {"C": basis.dim, "units": n_units}
 
     # the commutant of D inside C is the isotropy-supported part of C
-    commutant = intersect_spans(basis, _isotropy_span(ctx))
+    commutant = intersect_spans(basis, Basis.coordinate(ctx, np.flatnonzero(g.src == g.tgt)))
     dims["commutant"] = commutant.dim
     flags["maximal_abelian"] = commutant.dim == n_units
     if not flags["maximal_abelian"]:
@@ -141,29 +139,29 @@ def classify(ctx: Context, c_basis: Basis | None = None,
 
     if r.is_finite:
         # each flag below is decided corner by corner (normalizers docstring):
-        # the counted isotropy corners are not scanned
-        corners = corner_bases(basis)
-        check_scan_guard(ctx, corners, guard)
-        counted = counted_corners(ctx, corners)
+        # the counted isotropy corners are not scanned, and the guard is
+        # charged only the candidates their witness searches visit
+        counted = counted_corners(ctx, basis)
+        spent = check_scan_guard(ctx, basis, guard, counted)
         certs = enumerate_normalizers(ctx, basis, guard, skip=counted)
         units = certs[1:]
         counts = unit_counts(ctx, certs)
         for vw in counted:
-            counts[vw] = frobenius_unit_count(ctx, corners[vw])
+            counts[vw] = frobenius_unit_count(ctx, basis.corners[vw])
         dims["normalizers"] = normalizer_count(counts)
 
         # C and the spans of N(C,D) and of its free part are the direct sums
         # of their corners, so a span is C when it is on every corner, and
         # the first row of C outside it is the first of the corners' ones
-        answers = corner_answers(ctx, corners, certs, counted).values()
-        row_at = dict(zip(basis.pivots, basis.rows))
+        answers = corner_answers(ctx, basis, certs, counted).values()
+        row_at = dict(zip(basis.pivots, basis.coeffs))
 
         def span_flag(flag: str, dim: str, i: int) -> None:
             dims[dim] = sum(a[i][0] for a in answers)
             outside = [a[i][1] for a in answers if a[i][1] is not None]
             flags[flag] = not outside
             if outside:
-                wits[flag] = row_at[min(outside)]
+                wits[flag] = El(ctx, row_at[min(outside)])
 
         span_flag("regular", "normalizer_span", 0)
 
@@ -179,14 +177,19 @@ def classify(ctx: Context, c_basis: Basis | None = None,
         # a counted corner's units are its c delta_g exactly when LBH holds
         # on it, and only where it fails can a unit fail a flag
         mixed = [v for v, _ in counted if counts[(v, v)] != (r.modulus - 1) * sum(
-            corners[(v, v)].contains(ctx.delta(a)) for a in range(g.num_arrows)
-            if g.src[a] == g.tgt[a] == v)]
+            g.src[a] == g.tgt[a] == v for a in deltas)]
+
+        def charge():
+            nonlocal spent
+            spent += 1
+            if spent > guard:
+                raise GuardExceeded("normalizer scan candidates", spent, guard)
 
         def first_failure(fails, led_by_delta):
             """The first corner unit of the scan to fail: the first in certs
             or in the search of a counted corner that LBH fails on."""
             found = [next((cert.n for cert in units if fails(cert.n)), None)]
-            found += [first_unit(ctx, basis, corners, v, fails, led_by_delta) for v in mixed]
+            found += [first_unit(ctx, basis, v, fails, charge, led_by_delta) for v in mixed]
             return min((n for n in found if n is not None), default=None,
                        key=lambda n: tuple(n.value(piv) for piv in basis.pivots))
 
@@ -227,10 +230,7 @@ def subgroupoid_algebra(ctx: Context, members) -> Basis:
 
 
 def union_support(basis: Basis) -> frozenset:
-    out = set()
-    for row in basis.rows:
-        out |= set(row.coeffs)
-    return frozenset(out)
+    return frozenset().union(*basis.coeffs)
 
 
 def _generator_arrows(ctx: Context, guard: int) -> list:
@@ -601,9 +601,8 @@ def counterexample_bad_apple(ctx: Context, v: int | None = None,
     closed = algebra_closure(ctx, c.rows)
     if closed.key() != c.key():
         raise InternalCheckError("pullback subalgebra is not closed")
-    for a in moving:
-        if c.contains(ctx.delta(a)):
-            raise InternalCheckError("single isotropy delta should stay outside C")
+    if delta_arrows(c) & set(moving):
+        raise InternalCheckError("single isotropy delta should stay outside C")
 
     sq = sigma * sigma
     unit_coeff = sq.value(v)

@@ -87,12 +87,13 @@ differ at the sum's leading pivot, where the block is 0.  So the first
 normalizer of the exhaustive scan to fail a flag is a corner unit, and the
 witnesses are those of the whole scan.
 
-One scan per corner pair and context.  The scan of an opposite pair reads
-nothing of C but its two corners: the batched test builds its systems from
-the rows of C_{v,w} and C_{w,v}, and the certificate of a one-block
-candidate seeks the partner in C_{w,v} alone.  A corner's rows are its
-reduced echelon rows, unique to the corner, so the echelon keys of the two
-corners fix the certified lists of both.  Spans that share corners, as the
+One scan per corner pair and context.  The span holds its corners
+(Basis.corners, split once), and the scan of an opposite pair reads nothing
+of C but those two: the batched test builds its systems from the dense rows
+of C_{v,w} and C_{w,v}, and the certificate of a one-block candidate seeks
+the partner in C_{w,v} alone.  A corner's rows are its reduced echelon rows,
+unique to the corner, so the echelon keys of the two corners, cached on
+them, fix the certified lists of both.  Spans that share corners, as the
 closures, meets and joins of galois and pqc_scan do, share their scans: the
 Context keeps them by those keys.  The memo lives on the Context, not in the
 module, so it dies with the context: every command builds its own, a traced
@@ -103,19 +104,20 @@ the command returns.  The guard still measures every scanned corner,
 remembered or not, and the internal checks run on the first scan of a
 pair, whose inputs a later one would repeat.
 
-The span answers go the same way, corner by corner (corner_answers).  C is
-the direct sum of its corners, and the units of C_{v,w} span a subspace
-N_{v,w} of it, so N(C,D) and its free part span C exactly when they do on
-every corner, and the first row of C outside either is the first, in pivot
-order, of the corners' first rows outside it.  A unit between distinct
-units is free, and the free units of C_{v,v} are the multiples of delta_v,
-its first row.  For n in C_{w,v}, Delta(n a) sees only the block of a in
-C_{v,w}, and only at delta_w, so the kernel of the faithfulness pairing is
-the direct sum of the pairings of N_{w,v} against C_{v,w}; its first vector,
-the one of the first free row, is the first vector of the corner whose first
-free row comes first.  What a corner answers depends on its rows and those
-of its opposite corner alone, so the Context keeps each corner's answers as
-ints and coefficient dicts under the two echelon keys, beside the scans.
+The span answers go the same way, corner by corner (corner_answers), read off
+the corners the span holds.  C is the direct sum of its corners, and the
+units of C_{v,w} span a subspace N_{v,w} of it, so N(C,D) and its free part
+span C exactly when they do on every corner, and the first row of C outside
+either is the first, in pivot order, of the corners' first rows outside it.
+A unit between distinct units is free, and the free units of C_{v,v} are the
+multiples of delta_v, its first row.  For n in C_{w,v}, Delta(n a) sees only
+the block of a in C_{v,w}, and only at delta_w, so the kernel of the
+faithfulness pairing is the direct sum of the pairings of N_{w,v} against
+C_{v,w}; its first vector, the one of the first free row, is the first vector
+of the corner whose first free row comes first.  What a corner answers
+depends on its rows and those of its opposite corner alone, so the Context
+keeps each corner's answers as ints and coefficient dicts under the two
+echelon keys, beside the scans.
 
 Counted isotropy corners.  classify scans no isotropy corner R = C_{v,v}
 over F_p, p > 2, that is a commutative algebra (closed under the product, as
@@ -139,7 +141,8 @@ R.  A unit blocking implementation by an idempotent carries delta_v and
 another arrow, so there is one only where LBH fails, and its search starts at
 the candidates led by delta_v, the corner's first row (v is its least
 arrow).  Compared by key with the first failures of the scanned corners,
-these give the witnesses of the whole scan.
+these give the witnesses of the whole scan.  The guard is charged
+the candidates the searches visit, not the p^dim R of a scan.
 """
 
 from collections import Counter
@@ -151,8 +154,8 @@ import numpy as np
 from cartan_lab import exactlin
 from cartan_lab.errors import GuardExceeded, InputError, InternalCheckError
 from cartan_lab.groupoid import Groupoid
-from cartan_lab.steinberg import (Basis, Context, El, corner_bases, corner_blocks,
-                                  full_algebra_basis, is_bisection)
+from cartan_lab.steinberg import (Basis, Context, El, corner_blocks, full_algebra_basis,
+                                  is_bisection)
 
 SCAN_GUARD = 3_000_000
 BATCH_CHUNK = 4096
@@ -200,25 +203,22 @@ def _block_partner(ctx: Context, x: El, v: int, opposite: Basis | None):
         return y if y is not None and opposite.contains(y) else None
     g = ctx.groupoid
     at_v = np.flatnonzero((g.src == v) & (g.tgt == v))
-    k = np.array([ctx.vec(row) for row in opposite.rows])
+    k = opposite.matrix
     sol = ctx.solve(ctx.conv_single_batch(ctx.vec(x), k)[:, at_v].T,
                     ctx.vec(ctx.delta(v))[at_v])
     return None if sol is None else ctx.el_of_vec(ctx.combine_rows(sol, k))
 
 
-def is_normalizer(ctx: Context, n: El, c_basis: Basis | None = None,
-                  corners: dict | None = None):
+def is_normalizer(ctx: Context, n: El, c_basis: Basis | None = None):
     """Certificate for n, or None, block by block as in the module docstring.
     Partners are sought inside the span of c_basis (the whole algebra when
-    omitted), which must be a D-bimodule; corners, when given, are its
-    corner_bases, split once by a caller that certifies many candidates."""
+    omitted), which must be a D-bimodule, in the corners it holds."""
     if not ctx.ring.is_field:
         raise InputError("normalizer decision needs a field")
     basis = c_basis if c_basis is not None else full_algebra_basis(ctx)
     if c_basis is not None and not c_basis.contains(n):
         raise InputError("candidate lies outside the subalgebra")
-    if corners is None:
-        corners = corner_bases(basis)
+    corners = basis.corners   # refuses a span that is no D-bimodule
     blocks = corner_blocks(n)
     if len({v for v, _ in blocks}) < len(blocks) or len({w for _, w in blocks}) < len(blocks):
         return None
@@ -242,12 +242,15 @@ def _monic_digits(p: int, d: int, start: int = 0):
     lexicographic order, from the start-th on, in chunks of BATCH_CHUNK rows.
     The vectors with t entries after their leading 1 form one run, from index
     (p^t - 1) / (p - 1) on, t = 0 first; those t entries are the base-p
-    digits of the offset into the run."""
-    runs = np.array([(p ** t - 1) // (p - 1) for t in range(d + 1)], dtype=np.int64)
-    for lo in range(start, int(runs[-1]), BATCH_CHUNK):
-        index = np.arange(lo, min(lo + BATCH_CHUNK, int(runs[-1])), dtype=np.int64)
-        t = np.searchsorted(runs, index, side="right") - 1
-        rest = index - runs[t]
+    digits of the offset into the run.  Counted from the start of its run,
+    a chunk's offsets fit int64 even where p^d does not."""
+    runs = [(p ** t - 1) // (p - 1) for t in range(d + 1)]
+    for lo in range(start, runs[-1], BATCH_CHUNK):
+        base = max(r for r in runs if r <= lo)
+        index = np.arange(lo - base, min(lo + BATCH_CHUNK, runs[-1]) - base)
+        bounds = np.array([min(max(r - base, -1), 2 ** 62) for r in runs])
+        t = np.searchsorted(bounds, index, side="right") - 1
+        rest = index - bounds[t]
         digits = np.zeros((len(index), d), dtype=np.int64)
         for j in range(d - 1, -1, -1):
             digits[:, j] = rest % p
@@ -256,38 +259,28 @@ def _monic_digits(p: int, d: int, start: int = 0):
         yield digits
 
 
-def _batched_mask(ctx: Context, c_rows, k_rows):
-    """The monic candidates of span(c_rows) (first nonzero coefficient 1;
+def _batched_mask(ctx: Context, corner: Basis, opposite: Basis):
+    """The monic candidates of span(corner) (first nonzero coefficient 1;
     scalings are recovered afterwards) and a boolean mask over them: does the
-    candidate admit a partner in span(k_rows).  Returns (candidates, mask)."""
+    candidate admit a partner in span(opposite).  Returns (candidates, mask).
+
+    For n in C_{v,w} and k in C_{w,v}, n delta_u k is n k at u = w and 0 at
+    every other unit (the cocycle is normalized), and k delta_u n is k n at
+    u = v, so n D k and k D n lie in D exactly when n k and k n vanish off
+    the units: with n k n = n, the rows of the system."""
     p = ctx.p
-    g = ctx.groupoid
-    off = np.array(list(g.off_units()), dtype=np.int64)
-    cmat = np.array([ctx.vec(cj) for cj in c_rows], dtype=np.int64)
-    dim = ctx.dim
-    n_units = g.n_units
-    offdim = len(off)
-    nrows = dim + 2 * n_units * offdim
-    e = len(k_rows)
-    k_vecs = [ctx.vec(kj) for kj in k_rows]
-    left_static = [[ctx.vec(ctx.delta(u) * kj) for kj in k_rows] for u in g.units()]
-    right_static = [[ctx.vec(kj * ctx.delta(u)) for kj in k_rows] for u in g.units()]
+    off = np.array(list(ctx.groupoid.off_units()), dtype=np.int64)
+    dim, offdim = ctx.dim, len(off)
     cands, mask = [], []
-    for digits in _monic_digits(p, len(c_rows)):
-        chunk = digits @ cmat % p
-        nb = chunk.shape[0]
-        m = np.zeros((nb, nrows, e), dtype=np.int64)
-        for j in range(e):
-            t1 = ctx.conv_batch_single(chunk, k_vecs[j])
-            m[:, :dim, j] = ctx.conv_batch(t1, chunk)
-            for ui in range(n_units):
-                lo = dim + ui * offdim
-                t = ctx.conv_batch_single(chunk, left_static[ui][j])
-                m[:, lo:lo + offdim, j] = t[:, off]
-                lo2 = dim + (n_units + ui) * offdim
-                t = ctx.conv_single_batch(right_static[ui][j], chunk)
-                m[:, lo2:lo2 + offdim, j] = t[:, off]
-        rhs = np.zeros((nb, nrows), dtype=np.int64)
+    for digits in _monic_digits(p, corner.dim):
+        chunk = digits @ corner.matrix % p
+        m = np.zeros((len(chunk), dim + 2 * offdim, opposite.dim), dtype=np.int64)
+        for j, k in enumerate(opposite.matrix):
+            nk = ctx.conv_batch_single(chunk, k)
+            m[:, :dim, j] = ctx.conv_batch(nk, chunk)
+            m[:, dim:dim + offdim, j] = nk[:, off]
+            m[:, dim + offdim:, j] = ctx.conv_single_batch(k, chunk)[:, off]
+        rhs = np.zeros(m.shape[:2], dtype=np.int64)
         rhs[:, :dim] = chunk
         cands.append(chunk)
         mask.append(exactlin.batch_solvable_mod_p(m, rhs, p))
@@ -302,18 +295,19 @@ def _monic_mate(x: El, y: El) -> tuple:
     return y.scale(x.ctx.ring.try_inv(c)), x.scale(c)
 
 
-def _scanned(corners: dict) -> list:
+def _scanned(basis: Basis) -> list:
     """The corners the scan visits, in sorted order: the first of each
     opposite pair of nonzero corners, isotropy corners included."""
+    corners = basis.corners
     return [(v, w) for v, w in sorted(corners) if v <= w and (w, v) in corners]
 
 
-def _corner_units(ctx: Context, basis: Basis, corners: dict, skip=()) -> dict:
+def _corner_units(ctx: Context, basis: Basis, skip=()) -> list:
     """The normalizers of span(basis) that lie in one corner, leaving out the
-    isotropy corners in skip, as {w: [(v, scaled)]}: scaled
-    lists (lam x, lam^-1 y) as coefficient dicts for lam in ring.units(), with
-    x monic in C_{v,w} and y its partner in C_{w,v}, so scaled[0] is (x, y).
-    Corners come in sorted order, units in candidate order.
+    isotropy corners in skip, as a list of scaled: each lists (lam x,
+    lam^-1 y) as coefficient dicts for lam in ring.units(), with x monic in
+    C_{v,w} and y its partner in C_{w,v}, so scaled[0] is (x, y).  Corners
+    come in sorted order, units in candidate order.
 
     A corner runs the batched test against its opposite corner alone, and
     its survivors are certified.  By the partner map (module docstring) only
@@ -325,8 +319,9 @@ def _corner_units(ctx: Context, basis: Basis, corners: dict, skip=()) -> dict:
     corners under their echelon keys (module docstring)."""
     r = ctx.ring
     scalings = [(lam, r.try_inv(lam)) for lam in r.units()]
+    corners = basis.corners
     found: dict = {}
-    for v, w in _scanned(corners):
+    for v, w in _scanned(basis):
         if (v, w) in skip:
             continue
         opposite = corners[(w, v)]
@@ -334,14 +329,14 @@ def _corner_units(ctx: Context, basis: Basis, corners: dict, skip=()) -> dict:
         if key in ctx._corner_scans:
             found[(v, w)], found[(w, v)] = ctx._corner_scans[key]
             continue
-        cands, mask = _batched_mask(ctx, corners[(v, w)].rows, opposite.rows)
+        cands, mask = _batched_mask(ctx, corners[(v, w)], opposite)
         pairs, mates = [], {}
         for i in np.nonzero(mask)[0]:
             x = ctx.el_of_vec(cands[i])
             if x in mates:
                 pairs.append(mates.pop(x))
                 continue
-            cert = is_normalizer(ctx, x, basis, corners)
+            cert = is_normalizer(ctx, x, basis)
             if cert is None:
                 raise InternalCheckError("batched prefilter and exact solve disagree")
             pairs.append((x, cert.dagger))
@@ -355,26 +350,23 @@ def _corner_units(ctx: Context, basis: Basis, corners: dict, skip=()) -> dict:
         elif mates:
             raise InternalCheckError("an isotropy mate did not pass the batched prefilter")
         ctx._corner_scans[key] = found[(v, w)], found[(w, v)]
-    units: dict = {}
-    for (v, w), pairs in sorted(found.items()):
-        for x, y in pairs:
-            scaled = [({a: r.mul(lam, c) for a, c in x.items()},
-                       {a: r.mul(inv, c) for a, c in y.items()})
-                      for lam, inv in scalings]
-            units.setdefault(w, []).append((v, scaled))
-    return units
+    return [[({a: r.mul(lam, c) for a, c in x.items()}, {a: r.mul(inv, c) for a, c in y.items()})
+             for lam, inv in scalings]
+            for _, pairs in sorted(found.items()) for x, y in pairs]
 
 
-def check_scan_guard(ctx: Context, corners: dict, guard: int) -> None:
-    """Refuse, before any work, a span whose full scan would visit more than
-    guard candidates, p^dim over the scanned corners, or whose normalizer
-    count would take more than guard states, 2^units."""
-    candidates = sum(ctx.p ** corners[vw].dim for vw in _scanned(corners))
+def check_scan_guard(ctx: Context, basis: Basis, guard: int, skip=()) -> int:
+    """Refuse, before any work, a span whose scan would visit more than guard
+    candidates, p^dim over the scanned corners but those in skip, or whose
+    normalizer count would take more than guard states, 2^units.  Returns
+    the candidates."""
+    candidates = sum(ctx.p ** basis.corners[vw].dim for vw in _scanned(basis) if vw not in skip)
     if candidates > guard:
         raise GuardExceeded("normalizer scan candidates", candidates, guard)
     states = 2 ** ctx.groupoid.n_units
     if states > guard:
         raise GuardExceeded("normalizer count states", states, guard)
+    return candidates
 
 
 def enumerate_normalizers(ctx: Context, c_basis: Basis | None = None,
@@ -383,24 +375,22 @@ def enumerate_normalizers(ctx: Context, c_basis: Basis | None = None,
     in the order of the module docstring, but none of the isotropy corners
     (v, v) in skip, which classify counts instead; normalizer_count counts the
     normalizers they sum to.  The span must be a D-bimodule.  The guard is
-    that of check_scan_guard, with skip or without."""
+    that of check_scan_guard, with the same skip."""
     if not ctx.ring.is_field or not ctx.ring.is_finite:
         raise InputError("normalizer enumeration needs a finite field")
     basis = c_basis if c_basis is not None else full_algebra_basis(ctx)
     certs = [NormalizerCert(ctx.zero(), ctx.zero())]
     if basis.dim == 0:
         return certs
-    corners = corner_bases(basis)
-    check_scan_guard(ctx, corners, guard)
-    units = sorted((scaled for pairs in _corner_units(ctx, basis, corners, skip).values()
-                    for _, scaled in pairs),
+    check_scan_guard(ctx, basis, guard, skip)
+    units = sorted(_corner_units(ctx, basis, skip),
                    key=lambda scaled: tuple(scaled[0][0].get(piv, 0) for piv in basis.pivots))
     return certs + [NormalizerCert(El(ctx, n), El(ctx, k)) for scaled in units for n, k in scaled]
 
 
 def unit_counts(ctx: Context, certs) -> Counter:
     """The number of nonzero certs in each corner, keyed (v, w) as in
-    corner_bases; a corner unit's arrows share source and target."""
+    Basis.corners; a corner unit's arrows share source and target."""
     g = ctx.groupoid
     return Counter((int(g.tgt[a]), int(g.src[a]))
                    for a in (min(c.n.coeffs) for c in certs if not c.n.is_zero()))
@@ -427,7 +417,7 @@ def normalizer_count(counts: dict) -> int:
 
 # -- span answers, corner by corner ------------------------------------------
 
-def corner_answers(ctx: Context, corners: dict, certs, counted) -> dict:
+def corner_answers(ctx: Context, basis: Basis, certs, counted) -> dict:
     """What classify reads off the span N_{v,w} of the units of each corner
     C_{v,w} (module docstring), as {(v, w): (span, free, kernel)}.  span is
     (dim N_{v,w}, the pivot of the first row of C_{v,w} outside it, or None),
@@ -439,6 +429,7 @@ def corner_answers(ctx: Context, corners: dict, certs, counted) -> dict:
     are kept on the Context under its echelon key and its opposite's."""
     g = ctx.groupoid
     memo = ctx._corner_answers
+    corners = basis.corners
     keys = {(v, w): (corner.key(), corners[(w, v)].key() if (w, v) in corners else None)
             for (v, w), corner in corners.items()}
     missing = [vw for vw in corners if keys[vw] not in memo]
@@ -482,20 +473,20 @@ def corner_answers(ctx: Context, corners: dict, certs, counted) -> dict:
 
 # -- counted isotropy corners ------------------------------------------------
 
-def counted_corners(ctx: Context, corners: dict) -> list:
+def counted_corners(ctx: Context, basis: Basis) -> list:
     """The isotropy corners (v, v) whose units classify counts instead of
     scanning (module docstring): over F_p with p > 2, those whose rows
     commute and whose products stay in the corner."""
     if ctx.p == 2:
         return []
     out = []
-    for (v, w), corner in sorted(corners.items()):
+    for (v, w), corner in sorted(basis.corners.items()):
         if v != w:
             continue
         if corner.dim == 1:   # F_p delta_v
             out.append((v, v))
             continue
-        rows = np.array([ctx.vec(row) for row in corner.rows])
+        rows = corner.matrix
         for row in rows:
             prods = ctx.conv_single_batch(row, rows)
             if not (np.array_equal(prods, ctx.conv_batch_single(rows, row)) and np.array_equal(
@@ -517,10 +508,9 @@ def frobenius_unit_count(ctx: Context, corner: Basis) -> int:
     p, d = ctx.p, corner.dim
     if d == 1:   # F_p delta_v
         return p - 1
-    rows = np.array([ctx.vec(row) for row in corner.rows])
     # row-wise x^p by repeated squaring; column i of frob holds the
     # coordinates of row_i^p, its values at the pivots
-    power, square, e = None, rows, p
+    power, square, e = None, corner.matrix, p
     while e:
         if e & 1:
             power = square if power is None else ctx.conv_batch(power, square)
@@ -552,22 +542,22 @@ def frobenius_unit_count(ctx: Context, corner: Basis) -> int:
     return count
 
 
-def first_unit(ctx: Context, basis: Basis, corners: dict, v: int, accept,
+def first_unit(ctx: Context, basis: Basis, v: int, accept, charge,
                led_by_delta: bool = False) -> El | None:
     """The first monic candidate x of the isotropy corner C_{v,v}, in the
     scan's order, with accept(x) that is_normalizer certifies, or None.
-    Candidates are made a chunk at a time and the search stops at x, so it
-    visits at most the candidates the guard admitted.  With led_by_delta it
-    starts at the candidates led by delta_v, the corner's first row (v is its
-    least arrow): those with a nonzero coordinate there, last in the order."""
-    corner = corners[(v, v)]
+    Candidates are made a chunk at a time and the search stops at x, calling
+    charge() on each one it visits.  With led_by_delta it starts at the
+    candidates led by delta_v, the corner's first row (v is its least
+    arrow): those with a nonzero coordinate there, last in the order."""
+    corner = basis.corners[(v, v)]
     p, d = ctx.p, corner.dim
-    cmat = np.array([ctx.vec(row) for row in corner.rows])
     start = (p ** (d - 1) - 1) // (p - 1) if led_by_delta else 0
     for digits in _monic_digits(p, d, start):
-        for vec in digits @ cmat % p:
+        for vec in digits @ corner.matrix % p:
+            charge()
             x = ctx.el_of_vec(vec)
-            if accept(x) and is_normalizer(ctx, x, basis, corners) is not None:
+            if accept(x) and is_normalizer(ctx, x, basis) is not None:
                 return x
     return None
 

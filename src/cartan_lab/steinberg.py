@@ -17,12 +17,16 @@ kernel for Q and F_p, exactlin's reduced echelon step on coefficient dicts.
 A span of deltas is built without it, as its arrow set (Basis.coordinate),
 and two spans built so intersect in their common arrows; on a principal
 groupoid every subalgebra containing the unit deltas is one, and
-algebra_closure closes the arrow set under composition instead.
+algebra_closure closes the arrow set under composition instead.  A span that
+is a D-bimodule is the direct sum of its corners delta_v C delta_w; a Basis
+holds them (Basis.corners) and its dense rows (Basis.matrix), each made once.
 """
 
+import copy
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -345,9 +349,10 @@ class Basis:
     dense solves also eliminate through: coeffs[i] is rows[i]'s coefficient
     dict, in the ring's canonical values.  The kernel replaces a changed dict
     rather than edit it, so bases may share them.  rows, the same vectors as
-    elements, and key() are built when first read after a change.  arrows is
-    the arrow set of a span that Basis.coordinate built, kept by copy and
-    dropped when extend grows the span; None for every other span.
+    elements, key(), corners and matrix are built when first read after a
+    change; copy shares them and extend drops them.  arrows is the arrow set
+    of a span that Basis.coordinate built, kept by copy and dropped when
+    extend grows the span; None for every other span.
     """
 
     def __init__(self, ctx: Context):
@@ -356,7 +361,6 @@ class Basis:
         self.ctx = ctx
         self.coeffs: list[dict] = []
         self.pivots: list[int] = []
-        self._rows: list[El] | None = None
         self._key: tuple | None = None
         self.arrows: frozenset | None = None
 
@@ -371,15 +375,42 @@ class Basis:
         b.coeffs = [{a: one} for a in b.pivots]
         return b
 
-    @property
+    @cached_property
     def rows(self) -> list[El]:
-        if self._rows is None:
-            self._rows = [El(self.ctx, c) for c in self.coeffs]
-        return self._rows
+        return [El(self.ctx, c) for c in self.coeffs]
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
+
+    @cached_property
+    def corners(self) -> dict:
+        """The nonzero corners delta_v C delta_w of C = span(self), keyed
+        (v, w), as spans of the rows in them (split as corner_blocks splits
+        an element).  C is a D-bimodule exactly when it is their direct sum,
+        and then its reduced echelon rows are the corners' ones; a row that
+        meets two corners raises InputError.  The corners share the span's
+        row dicts and are never extended."""
+        g = self.ctx.groupoid
+        corners: dict = {}
+        for piv, row in zip(self.pivots, self.coeffs):
+            ends = {(int(g.tgt[a]), int(g.src[a])) for a in row}
+            if len(ends) != 1:
+                raise InputError("span is not a D-bimodule: a basis row meets "
+                                 f"the corners {sorted(ends)}")
+            corner = corners.setdefault(ends.pop(), Basis(self.ctx))
+            corner.coeffs.append(row)
+            corner.pivots.append(piv)
+        return corners
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The rows as a read-only (dim, dim A) array of dense vectors."""
+        m = np.zeros((self.dim, self.ctx.dim), dtype=self.ctx._dtype)
+        for i, row in enumerate(self.coeffs):
+            m[i, list(row)] = list(row.values())
+        m.flags.writeable = False
+        return m
 
     def reduce(self, el: El) -> El:
         return El(self.ctx, exactlin.residue(self.coeffs, self.pivots, el.coeffs,
@@ -394,14 +425,14 @@ class Basis:
         if not res:
             return False
         exactlin.insert_residue(self.coeffs, self.pivots, res, self.ctx.ring.modulus)
-        self._rows = self._key = self.arrows = None
+        self._key = self.arrows = None
+        for cached in ("rows", "corners", "matrix"):
+            vars(self).pop(cached, None)
         return True
 
     def copy(self) -> "Basis":
-        b = Basis(self.ctx)
-        b.coeffs = list(self.coeffs)
-        b.pivots = list(self.pivots)
-        b._rows, b._key, b.arrows = self._rows, self._key, self.arrows
+        b = copy.copy(self)   # shares every cache
+        b.coeffs, b.pivots = list(self.coeffs), list(self.pivots)
         return b
 
     def key(self):
@@ -436,27 +467,6 @@ def corner_blocks(f: El) -> dict:
     return {vw: El(f.ctx, coeffs) for vw, coeffs in sorted(blocks.items())}
 
 
-def corner_bases(basis: Basis) -> dict:
-    """The nonzero corners delta_v C delta_w of C = span(basis), keyed (v, w).
-
-    The cocycle is normalized, so delta_v f delta_w is f restricted to the
-    arrows from w to v.  C is a D-bimodule exactly when it is the direct sum
-    of these corners, and then its reduced echelon basis is the union of the
-    corners' ones: every row lies in one corner, and the corner dimensions
-    sum to dim C.  A row that meets two corners raises InputError."""
-    g = basis.ctx.groupoid
-    corners: dict = {}
-    for piv, row in zip(basis.pivots, basis.coeffs):
-        ends = {(int(g.tgt[a]), int(g.src[a])) for a in row}
-        if len(ends) != 1:
-            raise InputError("span is not a D-bimodule: a basis row meets "
-                             f"the corners {sorted(ends)}")
-        corner = corners.setdefault(ends.pop(), Basis(basis.ctx))
-        corner.coeffs.append(row)
-        corner.pivots.append(piv)
-    return corners
-
-
 def intersect_spans(b1: Basis, b2: Basis) -> Basis:
     """Intersection of two spans: the span of their common arrows when both
     carry an arrow set, else each kernel vector x of [rows1 | -rows2] gives
@@ -464,10 +474,9 @@ def intersect_spans(b1: Basis, b2: Basis) -> Basis:
     ctx = b1.ctx
     if b1.arrows is not None and b2.arrows is not None:
         return Basis.coordinate(ctx, b1.arrows & b2.arrows)
-    if not b1.rows or not b2.rows:
+    if not b1.dim or not b2.dim:
         return Basis(ctx)
-    m = np.stack([ctx.vec(row) for row in b1.rows]
-                 + [-ctx.vec(row) for row in b2.rows], axis=1)
+    m = np.concatenate([b1.matrix, -b2.matrix]).T
     m = m[(m != 0).any(axis=1)]   # arrows outside both supports: zero rows
     out = Basis(ctx)
     for x in ctx.nullspace(m):

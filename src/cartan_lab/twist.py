@@ -7,7 +7,7 @@ import numpy as np
 
 from cartan_lab.coeff import Ring
 from cartan_lab.errors import InputError
-from cartan_lab.groupoid import Groupoid
+from cartan_lab.groupoid import Groupoid, json_int
 
 
 @dataclass
@@ -106,7 +106,7 @@ def cocycle_from_json(g: Groupoid, r: Ring, entries) -> Cocycle:
     n = g.num_arrows
     try:
         for rec in entries or []:
-            a, b = int(rec["a"]), int(rec["b"])
+            a, b = json_int(rec["a"], "a"), json_int(rec["b"], "b")
             if not (0 <= a < n and 0 <= b < n):
                 raise InputError(f"cocycle entry ({a},{b}) names an arrow outside 0..{n - 1}")
             v = r.coeff_from_str(str(rec["value"]))

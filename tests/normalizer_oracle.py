@@ -15,7 +15,7 @@ from cartan_lab import normalizers as nz
 from cartan_lab.errors import GuardExceeded, InputError, InternalCheckError
 from cartan_lab.groupoid import Groupoid
 from cartan_lab.normalizers import NormalizerCert
-from cartan_lab.steinberg import El, corner_bases, full_algebra_basis, span_closure
+from cartan_lab.steinberg import Basis, El, full_algebra_basis, span_closure
 from cartan_lab.twist import Cocycle
 
 
@@ -74,36 +74,52 @@ def exhaustive_partners(ctx, n, c_basis=None, guard: int = 200_000):
     return [k for k in span_elements(basis) if verify_cert(NormalizerCert(n, k))]
 
 
-def corner_units(ctx, basis, _corners=None, skip=()) -> dict:
+def split_corners(basis) -> dict:
+    """The corners delta_v C delta_w of C = span(basis) as {(v, w): Basis},
+    split afresh row by row: each row goes to the corner of the ends of its
+    arrows, and a row whose arrows have two pairs of ends raises InputError.
+    The reference for Basis.corners."""
+    g = basis.ctx.groupoid
+    corners: dict = {}
+    for piv, row in zip(basis.pivots, basis.coeffs):
+        ends = {(int(g.tgt[a]), int(g.src[a])) for a in row}
+        if len(ends) != 1:
+            raise InputError(f"a basis row meets the corners {sorted(ends)}")
+        corner = corners.setdefault(ends.pop(), Basis(basis.ctx))
+        corner.coeffs.append(row)
+        corner.pivots.append(piv)
+    return corners
+
+
+def corner_units(ctx, basis, skip=()) -> list:
     """The corner units of the span as normalizers._corner_units returns
     them, with every corner but those in skip scanned and every survivor
     certified on its own: no partner map, no mates.  The oracle splits the
     span itself."""
     r = ctx.ring
     lams = r.units()
-    corners = corner_bases(basis)
-    units: dict = {}
+    corners = split_corners(basis)
+    units = []
     for (v, w), corner in sorted(corners.items()):
         opposite = corners.get((w, v))
         if opposite is None or (v, w) in skip:
             continue
-        cands, mask = nz._batched_mask(ctx, corner.rows, opposite.rows)
+        cands, mask = nz._batched_mask(ctx, corner, opposite)
         for i in np.nonzero(mask)[0]:
             cert = nz.is_normalizer(ctx, ctx.el_of_vec(cands[i]), basis)
             if cert is None:
                 raise InternalCheckError("batched prefilter and exact solve disagree")
             x, y = cert.n.coeffs, cert.dagger.coeffs
-            scaled = [({a: r.mul(lam, c) for a, c in x.items()},
-                       {a: r.mul(r.try_inv(lam), c) for a, c in y.items()})
-                      for lam in lams]
-            units.setdefault(w, []).append((v, scaled))
+            units.append([({a: r.mul(lam, c) for a, c in x.items()},
+                           {a: r.mul(r.try_inv(lam), c) for a, c in y.items()})
+                          for lam in lams])
     return units
 
 
 def scan_classify(ctx, c_basis=None, guard: int = nz.SCAN_GUARD):
     """inclusions.classify with every corner scanned and none counted: the
     forced-scan path that the counted isotropy corners must agree with."""
-    with mock.patch.object(inclusions, "counted_corners", lambda ctx, corners: []):
+    with mock.patch.object(inclusions, "counted_corners", lambda ctx, basis: []):
         return inclusions.classify(ctx, c_basis, guard)
 
 
@@ -143,7 +159,11 @@ def all_normalizers(ctx, basis) -> list:
     leading coefficient, so that block stays monic and every other block runs
     over all its scalings."""
     r = ctx.ring
-    units = corner_units(ctx, basis)
+    g = ctx.groupoid
+    units: dict = {}   # {w: [(v, scaled)]} for the corner units in C_{v,w}
+    for scaled in corner_units(ctx, basis):
+        a = min(scaled[0][0])
+        units.setdefault(int(g.src[a]), []).append((int(g.tgt[a]), scaled))
     shapes = [((), frozenset())]
     for w in ctx.groupoid.units():
         grown = []

@@ -208,6 +208,63 @@ def test_malformed_fields_exit_two(tmp_path, capsys, command, field, value):
     assert rep["command"] == command
 
 
+def with_arrow(table, field, value):
+    """The table with arrow 1's field set to value."""
+    arrows = [dict(rec) for rec in table["arrows"]]
+    arrows[1][field] = value
+    return dict(table, arrows=arrows)
+
+
+def build(spec):
+    return {"build": spec}
+
+
+# every integer field of a context, each given a JSON value that int() would
+# take: a float, a bool or a string
+@pytest.mark.parametrize("command, groupoid, cocycle, field, value", [
+    ("validate", build({"kind": "pair", "n": 2.5}), None, "n", 2.5),
+    ("validate", build({"kind": "pair", "n": True}), None, "n", True),
+    ("validate", build({"kind": "pair", "n": "3"}), None, "n", "3"),
+    ("validate", build({"kind": "cyclic_group", "n": 3.7}), None, "n", 3.7),
+    ("validate", build({"kind": "sign_flip", "radius": 1.0}), None, "radius", 1.0),
+    ("validate", build({"kind": "attach_isotropy", "unit": True, "base": {"kind": "pair", "n": 1},
+                        "group_table": [[0, 1], [1, 0]]}), None, "unit", True),
+    ("validate", dict(Z2_TABLE, units=1.0), None, "units", 1.0),
+    ("validate", with_arrow(Z2_TABLE, "id", "1"), None, "id", "1"),
+    ("validate", with_arrow(Z2_TABLE, "src", 0.0), None, "src", 0.0),
+    ("validate", with_arrow(Z2_TABLE, "tgt", False), None, "tgt", False),
+    ("validate", with_comp(Z2_TABLE, Z2_TABLE["comp"][:-1] + [[1, 1, 0.5]]), None, "comp", 0.5),
+    ("validate", dict(Z2_TABLE, inv=[0, "1"]), None, "inv", "1"),
+    ("validate", build({"kind": "pair", "n": 2}), [{"a": 0.0, "b": 0, "value": "1"}], "a", 0.0),
+    ("validate", build({"kind": "pair", "n": 2}), [{"a": 0, "b": True, "value": "1"}], "b", True),
+    ("bad-apple", build({"kind": "cyclic_group", "n": 3}), None, "unit", 0.0),
+], ids=["pair-n-float", "pair-n-true", "pair-n-string", "cyclic-n-float", "radius-float",
+        "attach-unit-true", "units-float", "id-string", "src-float", "tgt-false", "comp-float",
+        "inv-string", "cocycle-a-float", "cocycle-b-true", "bad-apple-unit-float"])
+def test_an_integer_field_takes_only_a_json_integer(tmp_path, capsys, command, groupoid,
+                                                    cocycle, field, value):
+    data = {"context": {"groupoid": groupoid, "ring": "F5", "cocycle": cocycle}}
+    if command == "bad-apple":
+        data["context"]["unit"] = value
+    code, out = run_cli([command, "--context", write_ctx(tmp_path, data)], capsys)
+    assert code == 2
+    assert json.loads(out) == {"command": command, "error": "input-error",
+                               "message": f"malformed '{field}': {value!r} is not a JSON integer",
+                               "schema_version": 1}
+
+
+@pytest.mark.parametrize("field, value", [("guard_dim", 3e6), ("seed", True)])
+def test_a_corpus_option_takes_only_a_json_integer(tmp_path, capsys, field, value):
+    job = {"command": "classify", "context": PAIR2_F3["context"], "expect": "ADP",
+           "options": {field: value}}
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    code, out = run_cli(["corpus", str(tmp_path)], capsys)
+    assert code == 1
+    report = json.loads(out)["reports"][0]
+    assert (report["error"], report["message"]) == (
+        "input-error", f"malformed '{field}': {value!r} is not a JSON integer")
+
+
 def test_corpus_isolates_a_malformed_job(tmp_path, capsys):
     good = {"command": "classify", "context": PAIR2_F3["context"], "expect": "ADP"}
     bad = [
@@ -271,29 +328,40 @@ def test_guard_exceeded_exits_three(tmp_path, capsys):
     assert "exceeds guard 5" in rep["message"]
 
 
-@pytest.mark.parametrize("command, job, guard, measured", [
-    # Z3/F5: the 5^2 generators pass a guard of 100, but classifying the
-    # full algebra scans its one corner, 5^3 normalizer candidates
-    pytest.param("galois", "09-z3-f5-bad-apple", 100, 125, id="galois"),
-    pytest.param("pqc-scan", "09-z3-f5-bad-apple", 100, 125, id="pqc-scan"),
-    # pair(3)/F3: 3 unit corners and one of each opposite pair, 3 candidates each
-    pytest.param("classify", "02-pair3-f3-classify", 5, 18, id="classify"),
-    # k2xz2/F3: the closure's corner (0, 1) has no opposite corner, so only
-    # its two unit corners are scanned, 3 candidates each
-    pytest.param("two-arrows", "08-k2xz2-f3-two-arrows", 5, 6, id="two-arrows"),
-    pytest.param("bad-apple", "09-z3-f5-bad-apple", 5, 25, id="bad-apple"),
+@pytest.mark.parametrize("command, job, guard, what, measured", [
+    # Z3/F2: the 2^2 generators pass a guard of 5, but classifying the full
+    # algebra scans its one corner, 2^3 normalizer candidates (over F2 no
+    # isotropy corner is counted)
+    pytest.param("galois", (3, "F2"), 5, "normalizer scan candidates", 8, id="galois"),
+    pytest.param("pqc-scan", (3, "F2"), 5, "normalizer scan candidates", 8, id="pqc-scan"),
+    # pair(3)/F3: the unit corners F3 delta_v are counted, and one corner of
+    # each opposite pair is scanned, 3 candidates each
+    pytest.param("classify", "02-pair3-f3-classify", 5, "normalizer scan candidates", 9,
+                 id="classify"),
+    # k2xz2/F3: the closure scans nothing (its unit corners are counted, and
+    # its corner (0, 1) has no opposite), so only its 2^2 count states can
+    # pass a guard
+    pytest.param("two-arrows", "08-k2xz2-f3-two-arrows", 3, "normalizer count states", 4,
+                 id="two-arrows"),
+    # Z3/F5: the counted corner span(delta_0, sigma) fails LBH, and its two
+    # witness searches visit 4 and then 1 candidates: the 5th is refused
+    pytest.param("bad-apple", "09-z3-f5-bad-apple", 4, "normalizer scan candidates", 5,
+                 id="bad-apple"),
 ])
-def test_guard_skipped_classification_exits_three(capsys, command, job, guard, measured):
+def test_guard_skipped_classification_exits_three(tmp_path, capsys, command, job, guard, what,
+                                                  measured):
     # with --expect too: a refused scan is exit 3, never a verdict mismatch
-    path = str(CORPUS / f"{job}.json")
-    expect = json.loads(Path(path).read_text())["expect"]
+    if isinstance(job, tuple):
+        path, expect = write_ctx(tmp_path, cyclic_ctx(*job)), "match"
+    else:
+        path = str(CORPUS / f"{job}.json")
+        expect = json.loads(Path(path).read_text())["expect"]
     code, out = run_cli([command, "--context", path, "--guard-dim", str(guard),
                          "--expect", expect], capsys)
     assert code == 3
     rep = json.loads(out)
     assert rep["error"] == "guard-exceeded"
-    assert rep["message"] == (f"normalizer scan candidates: measured {measured} "
-                              f"exceeds guard {guard}")
+    assert rep["message"] == f"{what}: measured {measured} exceeds guard {guard}"
 
 
 def test_prime_field_past_the_int64_bound_exits_two(tmp_path, capsys):
@@ -357,13 +425,28 @@ def cyclic_ctx(n, ring):
 
 def test_a_counted_corner_keeps_the_scan_guard(tmp_path, capsys):
     # Z4/F5: classify counts the units of its one isotropy corner instead of
-    # scanning it, yet the guard still measures the 5^4 candidates of a scan
+    # scanning it, and charges the guard the candidates its two witness
+    # searches visit, 16 in all: a guard of 10 refuses the 11th
     path = write_ctx(tmp_path, cyclic_ctx(4, "F5"))
-    code, out = run_cli(["classify", "--context", path, "--guard-dim", "100"], capsys)
+    code, out = run_cli(["classify", "--context", path, "--guard-dim", "10"], capsys)
     assert code == 3
     rep = json.loads(out)
     assert rep["error"] == "guard-exceeded"
-    assert rep["message"] == "normalizer scan candidates: measured 625 exceeds guard 100"
+    assert rep["message"] == "normalizer scan candidates: measured 11 exceeds guard 10"
+    code, out = run_cli(["classify", "--context", path, "--guard-dim", "16"], capsys)
+    assert code == 0
+    assert json.loads(out)["report"]["dims"]["normalizers"] == 256
+
+
+def test_z10_f5_classify_passes_the_default_guard(tmp_path, capsys):
+    # a scan of its counted corner would visit 5^10 candidates, past the
+    # default guard, but the witness searches stop within their first chunk
+    path = write_ctx(tmp_path, cyclic_ctx(10, "F5"))
+    code, out = run_cli(["classify", "--context", path], capsys)
+    assert code == 0
+    rep = json.loads(out)["report"]
+    assert rep["dims"]["normalizers"] == 6_250_000
+    assert rep["flags"]["LBH"] is False
 
 
 def test_reconstruct_honours_guard_dim(tmp_path, capsys):

@@ -19,8 +19,8 @@ from cartan_lab.cli import _jsonable
 from cartan_lab.errors import GuardExceeded, InputError, InternalCheckError
 from cartan_lab.inclusions import (_implemented_for, classify, diagonal_basis,
                                    singly_generated_closures, subgroupoid_algebra)
-from cartan_lab.steinberg import (Context, El, algebra_closure, corner_bases, full_algebra_basis,
-                                  is_bisection, span_closure)
+from cartan_lab.steinberg import (Context, El, algebra_closure, full_algebra_basis, is_bisection,
+                                  span_closure)
 
 import normalizer_oracle as oracle
 from conftest import (KLEIN_TABLE, ORACLE_CONTEXTS, arrow_between, klein_bicharacter,
@@ -500,7 +500,7 @@ def test_partner_map_pairing_matches_the_full_corner_scan(name, monkeypatch):
     certifying every corner."""
     ctx = oracle_context(name)
     for c in _oracle_spans(ctx):
-        assert nz._corner_units(ctx, c, corner_bases(c)) == oracle.corner_units(ctx, c)
+        assert nz._corner_units(ctx, c) == oracle.corner_units(ctx, c)
         got = nz.enumerate_normalizers(ctx, c)
         with monkeypatch.context() as m:
             m.setattr(nz, "_corner_units", oracle.corner_units)
@@ -623,7 +623,7 @@ CYCLIC = ([f"Z{n}/F{p}" for n in range(1, 7) for p in (2, 3, 5, 7)]
 @functools.cache
 def _isotropy_cases(name):
     """Each isotropy corner of the oracle spans of a context, or of the full
-    algebra of Z_n/F_p: (ctx, corners, v, is it commutative, units scanned)."""
+    algebra of Z_n/F_p: (ctx, span, v, is it commutative, units scanned)."""
     if name in CYCLIC:
         ctx = _cyclic(*map(int, name[1:].split("/F")))
         spans = [full_algebra_basis(ctx)]
@@ -632,12 +632,11 @@ def _isotropy_cases(name):
         spans = _oracle_spans(ctx)
     cases = []
     for c in spans:
-        corners = corner_bases(c)
         scanned = nz.unit_counts(ctx, nz.enumerate_normalizers(ctx, c))
-        for (v, w), corner in sorted(corners.items()):
+        for (v, w), corner in sorted(c.corners.items()):
             if v == w:
                 commutative = all(x * y == y * x for x in corner.rows for y in corner.rows)
-                cases.append((ctx, corners, v, commutative, scanned[(v, v)]))
+                cases.append((ctx, c, v, commutative, scanned[(v, v)]))
     return cases
 
 
@@ -646,10 +645,10 @@ def test_frobenius_count_matches_the_scan(name):
     """The unit count read off the Frobenius matrix equals the scan's on
     every commutative isotropy corner, p = 2 included; classify counts them
     exactly when p > 2, and scans the rest."""
-    for ctx, corners, v, commutative, scanned in _isotropy_cases(name):
+    for ctx, c, v, commutative, scanned in _isotropy_cases(name):
         if commutative:
-            assert nz.frobenius_unit_count(ctx, corners[(v, v)]) == scanned
-        assert ((v, v) in nz.counted_corners(ctx, corners)) == (commutative and ctx.p > 2)
+            assert nz.frobenius_unit_count(ctx, c.corners[(v, v)]) == scanned
+        assert ((v, v) in nz.counted_corners(ctx, c)) == (commutative and ctx.p > 2)
 
 
 def test_z7_f7_classify_counts_without_the_scan(monkeypatch):
@@ -670,24 +669,33 @@ def test_z7_f7_classify_counts_without_the_scan(monkeypatch):
     assert len(chunks) == 2
 
 
+def test_a_counted_corner_past_int64_is_searched():
+    # F13[Z17] has 13^17 > 2^63 candidates; 13 has order 4 mod 17, so it is
+    # F13 x F_{13^4}^4, and the witness searches start at index
+    # (13^16 - 1) / 12 without overflowing the candidate index
+    rep = classify(_cyclic(17, 13))
+    assert rep.dims["normalizers"] == 12 * (13 ** 4 - 1) ** 4
+    assert rep.flags["LBH"] is False and rep.flags["delta_idempotent_implemented"] is False
+
+
 def test_corner_bases_partition_the_span(pair3_f3, z3_f5):
     for ctx in (pair3_f3, z3_f5):
         full = full_algebra_basis(ctx)
-        corners = corner_bases(full)
+        corners = full.corners
         assert sum(c.dim for c in corners.values()) == full.dim
         g = ctx.groupoid
         for (v, w), corner in corners.items():
             for row in corner.rows:
                 assert {(int(g.tgt[a]), int(g.src[a])) for a in row.coeffs} == {(v, w)}
     sub = algebra_closure(pair3_f3, [pair3_f3.delta(arrow_between(pair3_f3.groupoid, 0, 1))])
-    assert sum(c.dim for c in corner_bases(sub).values()) == sub.dim
+    assert sum(c.dim for c in sub.corners.values()) == sub.dim
 
 
 def test_corner_bases_refuse_a_non_bimodule(pair3_f3):
     gamma = arrow_between(pair3_f3.groupoid, 0, 1)
     span = span_closure(pair3_f3, [pair3_f3.delta(0) + pair3_f3.delta(gamma)])
     with pytest.raises(InputError):
-        corner_bases(span)
+        span.corners
 
 
 # -- order and filters -------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from reach import ALLOWED, defs, verdict  # noqa: E402
+from reach import ALLOWED, defs, uncalled, verdict  # noqa: E402
 
 MODULE = '''
 class Shape:
@@ -43,12 +43,20 @@ def test_verdict_splits_unreached_defs_from_stale_allowances():
     assert verdict(defined, set(defined), {}) == ([], [])
 
 
+def test_uncalled_lists_the_required_layers_no_op_called():
+    required = ("cli.main", "steinberg.intersect_spans", "exactlin.rref_frac")
+    assert uncalled(required, {"cli.main", "exactlin.rref_frac", "other"}) == [
+        "steinberg.intersect_spans"]
+    assert uncalled(required, set(required)) == []
+
+
 def test_every_allowance_gives_a_reason():
     assert ALLOWED
     assert all(name.count(".") >= 1 and reason.strip() for name, reason in ALLOWED.items())
 
 
 def test_every_def_in_src_is_reached_or_allowed():
+    # and every layer a traced benchmark run requires is called by its op set
     tool = Path(__file__).resolve().parents[1] / "tools" / "reach.py"
     proc = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True,
                           timeout=300)

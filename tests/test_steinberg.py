@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cartan_lab import coeff, steinberg, twist
+from cartan_lab import inclusions as inc
 from cartan_lab import groupoid as gpd
 from cartan_lab.errors import InputError, InternalCheckError
 from cartan_lab.steinberg import (Basis, Context, El, algebra_closure, context_from_json,
-                                  corner_bases, corner_blocks, decompose_bisections,
-                                  el_from_json, full_algebra_basis, intersect_spans,
-                                  is_bisection, span_closure)
+                                  corner_blocks, decompose_bisections, el_from_json,
+                                  full_algebra_basis, intersect_spans, is_bisection,
+                                  span_closure)
 
+from normalizer_oracle import split_corners
 from conftest import (KLEIN_TABLE, ORACLE_CONTEXTS, klein_bicharacter, largest_allowed_prime,
                       make_context, oracle_context)
 
@@ -340,7 +342,7 @@ def test_basis_key_is_the_key_of_its_rows(rings, ring):
     copied = extended.copy()
     copied.extend(ctx.random_element(rng))
     closure = algebra_closure(ctx, [ctx.random_element(rng, [0, 3, 4])])
-    for b in [coordinate, extended, copied, *corner_bases(closure).values()]:
+    for b in [coordinate, extended, copied, *closure.corners.values()]:
         assert b.key() == tuple(row.key() for row in b.rows)
 
 
@@ -351,7 +353,7 @@ def test_corner_bases_serve_fresh_keys(name):
     for _ in range(4):
         c = algebra_closure(ctx, [ctx.random_element(rng, rng.sample(range(ctx.dim), 2))])
         c.key()
-        corners = corner_bases(c)
+        corners = c.corners
         assert all(corner.key() == row_key(corner) for corner in corners.values())
         keys = {vw: corner.key() for vw, corner in corners.items()}
         # growing the span replaces the shared rows it changes, never edits them
@@ -359,6 +361,77 @@ def test_corner_bases_serve_fresh_keys(name):
         assert c.key() == row_key(c)
         assert {vw: corner.key() for vw, corner in corners.items()} == keys
         assert keys == {vw: row_key(corner) for vw, corner in corners.items()}
+
+
+# the oracle contexts, and one over Q, whose dense rows hold Fractions
+HELD_CORNER_CONTEXTS = ORACLE_CONTEXTS + ["k2xz2/Q twisted"]
+
+
+@pytest.fixture(scope="module")
+def held_corner_contexts():
+    return {name: oracle_context(name) for name in HELD_CORNER_CONTEXTS}
+
+
+def check_held_corners(c):
+    """The corners, key, matrix and unit deltas a span holds against the
+    row-by-row split of normalizer_oracle, the rows' own keys and vectors,
+    and per-delta containment; a span that is no D-bimodule is refused."""
+    ctx = c.ctx
+    assert c.key() == row_key(c)
+    want = np.array([ctx.vec(row) for row in c.rows]).reshape(c.dim, ctx.dim)
+    assert np.array_equal(c.matrix, want) and c.matrix.dtype == want.dtype
+    try:
+        split = split_corners(c)
+    except InputError:
+        with pytest.raises(InputError, match="not a D-bimodule"):
+            c.corners
+        return
+    held = c.corners
+    assert {vw: (b.pivots, b.coeffs) for vw, b in held.items()} == {
+        vw: (b.pivots, b.coeffs) for vw, b in split.items()}
+    assert sorted(p for b in held.values() for p in b.pivots) == c.pivots
+    for corner in held.values():
+        assert corner.key() == row_key(corner)
+        assert np.array_equal(corner.matrix, np.array([ctx.vec(r) for r in corner.rows]))
+    for v in ctx.groupoid.units():
+        first = held[(v, v)].coeffs[0] if (v, v) in held else None
+        assert (first == {v: ctx.ring.one}) == c.contains(ctx.delta(v))
+    assert inc.delta_arrows(c) == {a for a in range(ctx.dim) if c.contains(ctx.delta(a))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_held_corners_match_the_row_split(held_corner_contexts, data):
+    ctx = held_corner_contexts[data.draw(st.sampled_from(HELD_CORNER_CONTEXTS))]
+    if ctx.is_fp:
+        value = st.integers(1, ctx.p - 1)
+    else:
+        value = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    element = st.dictionaries(st.integers(0, ctx.dim - 1), value, max_size=3)
+    gens = [ctx.element(c) for c in data.draw(st.lists(element, max_size=2))]
+    c = algebra_closure(ctx, gens)
+    if data.draw(st.booleans()):
+        c.key()   # the key read before the corners are split, or after
+    check_held_corners(c)
+    twin = c.copy()
+    assert twin.corners is c.corners and twin.matrix is c.matrix
+    check_held_corners(twin)
+    grown = twin.extend(ctx.element(data.draw(element)))
+    check_held_corners(twin)
+    if grown:
+        assert twin.key() != c.key()
+    check_held_corners(c)
+
+
+def test_a_span_that_is_no_bimodule_holds_no_corners(pair3_f3):
+    ctx = pair3_f3
+    g = ctx.groupoid
+    gamma, eta = [a for a in range(ctx.dim) if g.src[a] != g.tgt[a]][:2]
+    span = span_closure(ctx, ctx.unit_deltas() + [ctx.delta(gamma) + ctx.delta(eta)])
+    with pytest.raises(InputError, match="not a D-bimodule"):
+        span.corners
+    # D <= span still reads off the rows
+    assert inc.delta_arrows(span) == set(ctx.groupoid.units())
 
 
 @pytest.mark.parametrize("ring", ["Q", "F2", "F3"])

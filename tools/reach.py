@@ -1,4 +1,5 @@
-"""List the functions of src/cartan_lab/ that no command reaches.
+"""List the functions of src/cartan_lab/ that no command reaches, and the
+layers a traced benchmark run requires that its ops do not call.
 
     python3 tools/reach.py
 
@@ -7,8 +8,10 @@ perfbench/workloads.py (imported, never changed), and runs each op of it
 once, the corpus batch included, through cartan_lab.cli.main under
 sys.setprofile.  Then it prints every def in src/cartan_lab/ whose code never
 ran and that ALLOWED does not name, and every ALLOWED entry that names no
-such def: one that no longer exists or that the ops now reach.  Exits 1 when
-it prints anything.
+such def: one that no longer exists or that the ops now reach.  It also
+prints, per workload, every name in perfbench/traced.py's REQUIRED that the
+ops of traced.op_set (the rounds a traced run repeats) never call: a traced
+run of that workload would fail on it.  Exits 1 when it prints anything.
 """
 
 from __future__ import annotations
@@ -86,23 +89,36 @@ def reached_names(ops) -> set:
             if Path(c.co_filename).resolve().parent == PACKAGE}
 
 
-def workload_ops(workdir: Path) -> list:
-    """The argv of every op of seed 0 of every workload, each op once."""
+def workload_ops(workdir: Path) -> dict:
+    """{workload: (required, traced, rest)}: the layers traced.REQUIRED
+    names for the workload, and the argv of every op of its seed 0, each op
+    once, split into the ops of traced.op_set and the others."""
     sys.path.insert(0, str(ROOT / "perfbench"))
+    import traced
     import workloads
 
-    ops = {}
+    out = {}
     for name in workloads.WORKLOADS:
         manifest = workloads.write(name, SEED, ROOT, workdir / name)
-        for ops_of_round in manifest["rounds"]:
-            for op in ops_of_round:
-                ops.setdefault((name, op["id"]), op["argv"])
-    return list(ops.values())
+        traced_ops = {op["id"]: op["argv"] for ops in traced.op_set(manifest) for op in ops}
+        rest = {op["id"]: op["argv"] for ops in manifest["rounds"] for op in ops
+                if op["id"] not in traced_ops}
+        out[name] = (traced.REQUIRED[name], list(traced_ops.values()), list(rest.values()))
+    return out
+
+
+def uncalled(required, reached) -> list:
+    """The required layers that no op called, in their listed order."""
+    return [name for name in required if name not in reached]
 
 
 def main() -> int:
+    reached, gaps = set(), []
     with tempfile.TemporaryDirectory() as tmp:
-        reached = reached_names(workload_ops(Path(tmp)))
+        for workload, (required, traced_ops, rest) in workload_ops(Path(tmp)).items():
+            in_op_set = reached_names(traced_ops)
+            gaps += [(workload, name) for name in uncalled(required, in_op_set)]
+            reached |= in_op_set | reached_names(rest)
     defined = [name for path in sorted(PACKAGE.glob("*.py"))
                for name in defs(path.read_text(encoding="utf-8"), path.stem)]
     unreached, stale = verdict(defined, reached, ALLOWED)
@@ -110,7 +126,9 @@ def main() -> int:
         print(f"unreached: {name}")
     for name in stale:
         print(f"allowed, but not an unreached def: {name}")
-    return 1 if unreached or stale else 0
+    for workload, name in gaps:
+        print(f"required by the traced {workload} run, never called: {name}")
+    return 1 if unreached or stale or gaps else 0
 
 
 if __name__ == "__main__":
