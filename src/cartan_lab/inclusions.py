@@ -140,8 +140,8 @@ def classify(ctx: Context, c_basis: Basis | None = None,
     if r.is_finite:
         # each flag below is decided corner by corner (normalizers docstring):
         # the counted isotropy corners are not scanned, and the guard is
-        # charged only the candidates their witness searches visit
-        counted = counted_corners(ctx, basis)
+        # charged their counting and the candidates their witness searches visit
+        counted = counted_corners(ctx, basis, guard)
         spent = check_scan_guard(ctx, basis, guard, counted)
         certs = enumerate_normalizers(ctx, basis, guard, skip=counted)
         units = certs[1:]

@@ -141,8 +141,8 @@ R.  A unit blocking implementation by an idempotent carries delta_v and
 another arrow, so there is one only where LBH fails, and its search starts at
 the candidates led by delta_v, the corner's first row (v is its least
 arrow).  Compared by key with the first failures of the scanned corners,
-these give the witnesses of the whole scan.  The guard is charged
-the candidates the searches visit, not the p^dim R of a scan.
+these give the witnesses of the whole scan.  The guard charges a counted
+corner dim^4 for its test and count, then each candidate its searches visit.
 """
 
 from collections import Counter
@@ -242,20 +242,21 @@ def _monic_digits(p: int, d: int, start: int = 0):
     lexicographic order, from the start-th on, in chunks of BATCH_CHUNK rows.
     The vectors with t entries after their leading 1 form one run, from index
     (p^t - 1) / (p - 1) on, t = 0 first; those t entries are the base-p
-    digits of the offset into the run.  Counted from the start of its run,
-    a chunk's offsets fit int64 even where p^d does not."""
+    digits of the offset into the run.  A chunk counts its indices from the
+    start of its first run, so they fit int64 where p^d does not."""
     runs = [(p ** t - 1) // (p - 1) for t in range(d + 1)]
     for lo in range(start, runs[-1], BATCH_CHUNK):
-        base = max(r for r in runs if r <= lo)
-        index = np.arange(lo - base, min(lo + BATCH_CHUNK, runs[-1]) - base)
-        bounds = np.array([min(max(r - base, -1), 2 ** 62) for r in runs])
+        hi = min(lo + BATCH_CHUNK, runs[-1])
+        first = max(t for t, r in enumerate(runs) if r <= lo)
+        bounds = np.array([r - runs[first] for r in runs[first:] if r < hi], dtype=np.int64)
+        index = np.arange(lo - runs[first], hi - runs[first])
         t = np.searchsorted(bounds, index, side="right") - 1
         rest = index - bounds[t]
         digits = np.zeros((len(index), d), dtype=np.int64)
         for j in range(d - 1, -1, -1):
             digits[:, j] = rest % p
             rest //= p
-        digits[np.arange(len(index)), d - 1 - t] = 1
+        digits[np.arange(len(index)), d - 1 - first - t] = 1
         yield digits
 
 
@@ -355,12 +356,13 @@ def _corner_units(ctx: Context, basis: Basis, skip=()) -> list:
             for _, pairs in sorted(found.items()) for x, y in pairs]
 
 
-def check_scan_guard(ctx: Context, basis: Basis, guard: int, skip=()) -> int:
-    """Refuse, before any work, a span whose scan would visit more than guard
-    candidates, p^dim over the scanned corners but those in skip, or whose
-    normalizer count would take more than guard states, 2^units.  Returns
-    the candidates."""
-    candidates = sum(ctx.p ** basis.corners[vw].dim for vw in _scanned(basis) if vw not in skip)
+def check_scan_guard(ctx: Context, basis: Basis, guard: int, counted=()) -> int:
+    """The cost of the span's scan, p^dim per scanned corner but dim^4 per
+    isotropy corner in counted (its test and count: dim^2 products, dim matrix
+    products and nullspaces), refused past guard before the work it bounds, as
+    is a normalizer count that would take more than guard states, 2^units."""
+    candidates = sum(basis.corners[vw].dim ** 4 if vw in counted else ctx.p ** basis.corners[vw].dim
+                     for vw in _scanned(basis))
     if candidates > guard:
         raise GuardExceeded("normalizer scan candidates", candidates, guard)
     states = 2 ** ctx.groupoid.n_units
@@ -375,7 +377,7 @@ def enumerate_normalizers(ctx: Context, c_basis: Basis | None = None,
     in the order of the module docstring, but none of the isotropy corners
     (v, v) in skip, which classify counts instead; normalizer_count counts the
     normalizers they sum to.  The span must be a D-bimodule.  The guard is
-    that of check_scan_guard, with the same skip."""
+    that of check_scan_guard, with skip as its counted corners."""
     if not ctx.ring.is_field or not ctx.ring.is_finite:
         raise InputError("normalizer enumeration needs a finite field")
     basis = c_basis if c_basis is not None else full_algebra_basis(ctx)
@@ -473,28 +475,25 @@ def corner_answers(ctx: Context, basis: Basis, certs, counted) -> dict:
 
 # -- counted isotropy corners ------------------------------------------------
 
-def counted_corners(ctx: Context, basis: Basis) -> list:
+def counted_corners(ctx: Context, basis: Basis, guard: int = SCAN_GUARD) -> list:
     """The isotropy corners (v, v) whose units classify counts instead of
     scanning (module docstring): over F_p with p > 2, those whose rows
-    commute and whose products stay in the corner."""
+    commute and whose products stay in the corner.  Before it tests one, it
+    refuses a span past the guard with every isotropy corner counted."""
     if ctx.p == 2:
         return []
-    out = []
-    for (v, w), corner in sorted(basis.corners.items()):
-        if v != w:
-            continue
-        if corner.dim == 1:   # F_p delta_v
-            out.append((v, v))
-            continue
-        rows = corner.matrix
-        for row in rows:
-            prods = ctx.conv_single_batch(row, rows)
-            if not (np.array_equal(prods, ctx.conv_batch_single(rows, row)) and np.array_equal(
-                    exactlin.matmul_mod_p(prods[:, corner.pivots], rows, ctx.p), prods)):
-                break
-        else:
-            out.append((v, v))
-    return out
+    isotropy = [(v, w) for v, w in sorted(basis.corners) if v == w]
+    check_scan_guard(ctx, basis, guard, isotropy)
+    return [vw for vw in isotropy if _commutative(ctx, basis.corners[vw])]
+
+
+def _commutative(ctx: Context, corner: Basis) -> bool:
+    """Do the rows commute, with their products in the span?"""
+    rows = corner.matrix
+    return corner.dim == 1 or all(   # F_p delta_v, without a product
+        np.array_equal(prods := ctx.conv_single_batch(row, rows), ctx.conv_batch_single(rows, row))
+        and np.array_equal(exactlin.matmul_mod_p(prods[:, corner.pivots], rows, ctx.p), prods)
+        for row in rows)
 
 
 def _totient(n: int) -> int:

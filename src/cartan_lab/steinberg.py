@@ -386,11 +386,10 @@ class Basis:
     @cached_property
     def corners(self) -> dict:
         """The nonzero corners delta_v C delta_w of C = span(self), keyed
-        (v, w), as spans of the rows in them (split as corner_blocks splits
-        an element).  C is a D-bimodule exactly when it is their direct sum,
-        and then its reduced echelon rows are the corners' ones; a row that
-        meets two corners raises InputError.  The corners share the span's
-        row dicts and are never extended."""
+        (v, w).  C is a D-bimodule exactly when it is their direct sum, and
+        then its reduced echelon rows are theirs: a row that meets two corners
+        raises InputError.  The corners share the span's row dicts and are
+        never extended."""
         g = self.ctx.groupoid
         corners: dict = {}
         for piv, row in zip(self.pivots, self.coeffs):

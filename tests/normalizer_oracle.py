@@ -119,7 +119,7 @@ def corner_units(ctx, basis, skip=()) -> list:
 def scan_classify(ctx, c_basis=None, guard: int = nz.SCAN_GUARD):
     """inclusions.classify with every corner scanned and none counted: the
     forced-scan path that the counted isotropy corners must agree with."""
-    with mock.patch.object(inclusions, "counted_corners", lambda ctx, basis: []):
+    with mock.patch.object(inclusions, "counted_corners", lambda *args: []):
         return inclusions.classify(ctx, c_basis, guard)
 
 

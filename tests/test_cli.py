@@ -334,18 +334,19 @@ def test_guard_exceeded_exits_three(tmp_path, capsys):
     # isotropy corner is counted)
     pytest.param("galois", (3, "F2"), 5, "normalizer scan candidates", 8, id="galois"),
     pytest.param("pqc-scan", (3, "F2"), 5, "normalizer scan candidates", 8, id="pqc-scan"),
-    # pair(3)/F3: the unit corners F3 delta_v are counted, and one corner of
-    # each opposite pair is scanned, 3 candidates each
-    pytest.param("classify", "02-pair3-f3-classify", 5, "normalizer scan candidates", 9,
+    # pair(3)/F3: the unit corners F3 delta_v are counted, charged 1^4 each,
+    # and one corner of each opposite pair is scanned, 3 candidates each
+    pytest.param("classify", "02-pair3-f3-classify", 5, "normalizer scan candidates", 12,
                  id="classify"),
     # k2xz2/F3: the closure scans nothing (its unit corners are counted, and
     # its corner (0, 1) has no opposite), so only its 2^2 count states can
     # pass a guard
     pytest.param("two-arrows", "08-k2xz2-f3-two-arrows", 3, "normalizer count states", 4,
                  id="two-arrows"),
-    # Z3/F5: the counted corner span(delta_0, sigma) fails LBH, and its two
-    # witness searches visit 4 and then 1 candidates: the 5th is refused
-    pytest.param("bad-apple", "09-z3-f5-bad-apple", 4, "normalizer scan candidates", 5,
+    # Z3/F5: the counted corner span(delta_0, sigma) is charged 2^4 and fails
+    # LBH, and its two witness searches visit 4 and then 1 candidates: the
+    # 5th is refused
+    pytest.param("bad-apple", "09-z3-f5-bad-apple", 20, "normalizer scan candidates", 21,
                  id="bad-apple"),
 ])
 def test_guard_skipped_classification_exits_three(tmp_path, capsys, command, job, guard, what,
@@ -425,17 +426,31 @@ def cyclic_ctx(n, ring):
 
 def test_a_counted_corner_keeps_the_scan_guard(tmp_path, capsys):
     # Z4/F5: classify counts the units of its one isotropy corner instead of
-    # scanning it, and charges the guard the candidates its two witness
-    # searches visit, 16 in all: a guard of 10 refuses the 11th
+    # scanning it, and charges the guard 4^4 for the count, before it starts,
+    # and then the candidates its two witness searches visit, 16 in all
     path = write_ctx(tmp_path, cyclic_ctx(4, "F5"))
-    code, out = run_cli(["classify", "--context", path, "--guard-dim", "10"], capsys)
+    for guard, measured in ((255, 256), (266, 267)):
+        code, out = run_cli(["classify", "--context", path, "--guard-dim", str(guard)], capsys)
+        assert code == 3
+        rep = json.loads(out)
+        assert rep["error"] == "guard-exceeded"
+        assert rep["message"] == (f"normalizer scan candidates: measured {measured} "
+                                  f"exceeds guard {guard}")
+    code, out = run_cli(["classify", "--context", path, "--guard-dim", "272"], capsys)
+    assert code == 0
+    assert json.loads(out)["report"]["dims"]["normalizers"] == 256
+
+
+def test_a_large_counted_corner_is_refused_before_it_is_counted(tmp_path):
+    # F3[Z300]: counting its one isotropy corner is charged 300^4, so the
+    # default guard refuses it before the commutativity test and the
+    # Frobenius powers, whose products alone would take 300^3 entries each
+    code, out = run_capped(["classify", "--context", write_ctx(tmp_path, cyclic_ctx(300, "F3"))])
     assert code == 3
     rep = json.loads(out)
     assert rep["error"] == "guard-exceeded"
-    assert rep["message"] == "normalizer scan candidates: measured 11 exceeds guard 10"
-    code, out = run_cli(["classify", "--context", path, "--guard-dim", "16"], capsys)
-    assert code == 0
-    assert json.loads(out)["report"]["dims"]["normalizers"] == 256
+    assert rep["message"] == ("normalizer scan candidates: measured 8100000000 "
+                              "exceeds guard 3000000")
 
 
 def test_z10_f5_classify_passes_the_default_guard(tmp_path, capsys):

@@ -670,12 +670,15 @@ def test_z7_f7_classify_counts_without_the_scan(monkeypatch):
 
 
 def test_a_counted_corner_past_int64_is_searched():
-    # F13[Z17] has 13^17 > 2^63 candidates; 13 has order 4 mod 17, so it is
-    # F13 x F_{13^4}^4, and the witness searches start at index
-    # (13^16 - 1) / 12 without overflowing the candidate index
-    rep = classify(_cyclic(17, 13))
-    assert rep.dims["normalizers"] == 12 * (13 ** 4 - 1) ** 4
+    # F5[Z29]: 5 has order 14 mod 29, so it is F5 x F_{5^14}^2, and the
+    # search for a unit blocking implementation starts at the candidates led
+    # by delta_0, from index (5^28 - 1) / 4 > 2^63 on
+    assert (5 ** 28 - 1) // 4 > 2 ** 63
+    rep = classify(_cyclic(29, 5))
+    assert rep.dims["normalizers"] == 4 * (5 ** 14 - 1) ** 2
     assert rep.flags["LBH"] is False and rep.flags["delta_idempotent_implemented"] is False
+    n, _ = rep.witnesses["delta_idempotent_implemented"]
+    assert n.coeffs == {0: 1, 28: 1}
 
 
 def test_corner_bases_partition_the_span(pair3_f3, z3_f5):
